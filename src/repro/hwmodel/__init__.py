@@ -19,8 +19,10 @@ from repro.hwmodel.stats import PipelineStats, UnitStats
 from repro.hwmodel.caches import LRUCache
 from repro.hwmodel.flushplan import (
     FlushPlan,
+    FlushProducts,
+    apply_flush_products,
     build_flush_plan,
-    execute_flush_plan,
+    prepare_flush_plan,
 )
 from repro.hwmodel.pipeline import DrawResult, GraphicsPipeline
 from repro.hwmodel.energy import draw_energy
@@ -32,6 +34,7 @@ __all__ = [
     "draw_report",
     "DrawTrace",
     "FlushPlan",
+    "FlushProducts",
     "GPUConfig",
     "EnergyTable",
     "jetson_agx_orin",
@@ -39,9 +42,10 @@ __all__ = [
     "PipelineStats",
     "UnitStats",
     "LRUCache",
+    "apply_flush_products",
     "DrawResult",
     "GraphicsPipeline",
     "build_flush_plan",
     "draw_energy",
-    "execute_flush_plan",
+    "prepare_flush_plan",
 ]

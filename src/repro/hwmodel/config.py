@@ -15,7 +15,7 @@ Two kinds of numbers live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 
 @dataclass
@@ -181,6 +181,11 @@ class GPUConfig:
     def sm_issue_slots_per_cycle(self):
         """Aggregate warp-instruction issue slots per cycle across the GPC."""
         return self.n_sm * self.warp_schedulers_per_sm
+
+    def fingerprint(self):
+        """Hashable value of every field: equal fingerprints, equal
+        configs (keys the coherent draw-replay memo)."""
+        return astuple(self)
 
     def variant(self, **overrides):
         """Return a copy with fields replaced (e.g. ``enable_het=True``)."""

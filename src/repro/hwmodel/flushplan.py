@@ -21,8 +21,8 @@ The engine runs in two phases:
     :class:`~repro.render.frameir.FrameIR` when one is present (chunklet
     runs of the raster structure) instead of per-quad reductions.
 
-:func:`execute_flush_plan`
-    Runs the ZROP termination test, QRU pair planning, SM shading, PROP and
+:func:`prepare_flush_plan` and :func:`apply_flush_products`
+    Run the ZROP termination test, QRU pair planning, SM shading, PROP and
     CROP accounting over *all* flushes at once with ``reduceat``/``bincount``
     segment ops.  Exactness is preserved by two rules:
 
@@ -37,6 +37,15 @@ The engine runs in two phases:
 
     The golden flush-engine tests enforce cycle-, stat- and trace-exact
     equivalence against the scalar path on all four hardware variants.
+
+    Execution splits in two: :func:`prepare_flush_plan` computes the
+    cache-independent :class:`FlushProducts` (survivors, QRU pairs,
+    CROP-visible quads and fragments, deduplicated CROP line tags, PROP
+    work) and :func:`apply_flush_products` replays the cache traffic and
+    makes every accumulation.  Plan and products are pure functions of the
+    quad table and the config, so a draw of content the coherence carrier
+    verified identical replays a memoized pair through the apply step
+    alone (see :class:`~repro.hwmodel.pipeline.GraphicsPipeline`).
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import faults
+from repro.hwmodel.crop import quad_line_tag_pairs
 from repro.hwmodel.prop import plan_merges_segmented
 from repro.hwmodel.tc import RangeTileCoalescer, TileCoalescer
 from repro.hwmodel.tgc import TileGridCoalescer
@@ -65,9 +75,11 @@ class FlushPlan:
         TileCoalescer` constants), parallel to ``tile``.
     rows:
         int64 ``(n_rows,)`` — concatenated quad-table rows of every flush,
-        in flush order (arrival order within each flush).
+        in flush order (arrival order within each flush); ``None`` on a
+        :meth:`slim` plan.
     row_splits:
-        int64 ``(n_flushes + 1,)`` — offsets of each flush in ``rows``.
+        int64 ``(n_flushes + 1,)`` — offsets of each flush in ``rows``;
+        ``None`` on a :meth:`slim` plan.
     raster_portions, raster_tiles, raster_quads:
         Rasteriser work totals (primitive portions, raster tiles, quads).
     tc_flush_counts, tgc_flush_counts:
@@ -99,7 +111,22 @@ class FlushPlan:
 
     @property
     def n_rows(self):
-        return self.rows.shape[0]
+        return None if self.rows is None else self.rows.shape[0]
+
+    def slim(self):
+        """A copy without ``rows``/``row_splits``, its ``tile`` read-only.
+
+        Keeps what :func:`apply_flush_products` and
+        :func:`apply_flush_counts` read — flush tiles and reasons, raster
+        totals, flush-cause counters — and drops the row arrays only
+        :func:`prepare_flush_plan` needs.
+        """
+        tile = self.tile.view()
+        tile.flags.writeable = False
+        return FlushPlan(tile, tuple(self.reason), None, None,
+                         self.raster_portions, self.raster_tiles,
+                         self.raster_quads, self.tc_flush_counts,
+                         self.tgc_flush_counts, self.quads_inserted)
 
     def __repr__(self):
         return (f"FlushPlan(flushes={self.n_flushes}, rows={self.n_rows}, "
@@ -121,6 +148,17 @@ def _expand_segments(seg_starts, seg_ends):
     return rows, offsets
 
 
+def flushplan_checkpoint():
+    """The ``flushplan`` fault-injection point, passed once per draw."""
+    if faults.ENABLED:
+        rule = faults.checkpoint("flushplan")
+        if rule is not None:
+            # A corrupted plan would silently skew every downstream cycle
+            # count; the scalar flush engine is the recovery path, so
+            # model the corruption as detected here.
+            faults.corrupt_detected("flushplan")
+
+
 def build_flush_plan(workload, config):
     """Plan the entire flush schedule of ``workload`` under ``config``.
 
@@ -129,13 +167,7 @@ def build_flush_plan(workload, config):
     range-level coalescer, so the resulting schedule is flush-for-flush
     identical to what :class:`~repro.hwmodel.tc.TileCoalescer` would emit.
     """
-    if faults.ENABLED:
-        rule = faults.checkpoint("flushplan")
-        if rule is not None:
-            # A corrupted plan would silently skew every downstream cycle
-            # count; the scalar flush engine is the recovery path, so
-            # model the corruption as detected here.
-            faults.corrupt_detected("flushplan")
+    flushplan_checkpoint()
     tc = RangeTileCoalescer(config.n_tc_bins, config.tc_bin_quads,
                             config.tc_timeout_quads)
     tgc_counts = None
@@ -189,53 +221,87 @@ def build_flush_plan(workload, config):
     )
 
 
-def execute_flush_plan(plan, workload, config, stats, crop, zrop, shader,
-                       trace=None):
-    """Run every flush of ``plan`` through the modelled back half at once.
+class FlushProducts:
+    """The cache-independent per-flush products of one draw's flush plan.
 
-    Vectorised equivalent of calling ``GraphicsPipeline._process_flush``
-    per flush — same counters, same cycle totals bit-for-bit, same trace.
+    Everything :func:`apply_flush_products` needs that does not depend on
+    cache state: a pure function of the plan, the workload's quad table
+    and the config, so two draws of identical content under an identical
+    config prepare identical products.  Per-flush arrays are int64
+    ``(n_flushes,)`` unless noted below; every array is read-only.
+
+    Attributes
+    ----------
+    width:
+        Framebuffer width (the ZROP stencil-line layout).
+    n_flush, n_surv:
+        Quads flushed, and quads surviving the ZROP termination test
+        (equal to ``n_flush`` without HET).
+    pairs:
+        QRU merge pairs (zeros without QM).
+    n_crop, n_frags:
+        Quads and fragments reaching the CROP.
+    crop_tags, crop_tag_splits:
+        Per-flush first-occurrence-unique CROP line tags, concatenated in
+        flush order, and the int64 ``(n_flushes + 1,)`` offsets of each
+        flush's tags.
+    prop_items, prop_cycles:
+        PROP item total and float64 per-flush busy cycles.
+    """
+
+    __slots__ = ("width", "n_flush", "n_surv", "pairs", "n_crop", "n_frags",
+                 "crop_tags", "crop_tag_splits", "prop_items", "prop_cycles")
+
+    def __init__(self, width, n_flush, n_surv, pairs, n_crop, n_frags,
+                 crop_tags, crop_tag_splits, prop_items, prop_cycles):
+        self.width = int(width)
+        self.prop_items = int(prop_items)
+        arrays = dict(n_flush=n_flush, n_surv=n_surv, pairs=pairs,
+                      n_crop=n_crop, n_frags=n_frags, crop_tags=crop_tags,
+                      crop_tag_splits=crop_tag_splits,
+                      prop_cycles=prop_cycles)
+        for name, value in arrays.items():
+            value.flags.writeable = False
+            setattr(self, name, value)
+
+
+def prepare_flush_plan(plan, workload, config):
+    """Compute the cache-independent :class:`FlushProducts` of ``plan``.
+
+    Survivors of the ZROP termination test, QRU pairs, CROP-visible quads,
+    fragments and deduplicated line tags, and PROP work are all fixed by
+    the quad table; only the z- and CROP-cache traffic depends on cache
+    state, and :func:`apply_flush_products` replays that.  Returns
+    ``None`` for a plan without flushes.
     """
     n_flushes = plan.n_flushes
     if n_flushes == 0:
-        return
+        return None
     cfg = config
     quads = workload.quads
     rows = plan.rows
-    row_splits = plan.row_splits
-    n_flush = np.diff(row_splits)
+    n_flush = np.diff(plan.row_splits)
     flush_of_row = np.repeat(np.arange(n_flushes, dtype=np.int64), n_flush)
 
-    # TC insertion throughput, accounted at flush over each whole batch.
-    stats.units["tc"].add_sequence(
-        int(n_flush.sum()), n_flush / cfg.tc_quads_per_cycle)
-
-    # ZROP termination test (HET): discard fully-terminated quads before
-    # shading and replay the stencil-line traffic.
+    # ZROP termination test (HET): fully-terminated quads are discarded
+    # before shading.
     if cfg.enable_het:
         surviving = quads.mask_unterminated[rows] != 0
         surv_rows = rows[surviving]
         surv_flush = flush_of_row[surviving]
         n_surv = np.bincount(surv_flush, minlength=n_flushes)
-        zrop_misses = zrop.termination_test_plan(
-            plan.tile, n_flush, n_surv, workload.width)
         blend_masks = quads.mask_et[surv_rows]
     else:
         surv_rows = rows
         surv_flush = flush_of_row
         n_surv = n_flush
-        zrop_misses = np.zeros(n_flushes, dtype=np.int64)
         blend_masks = quads.mask_unpruned[surv_rows]
 
-    nonempty = n_surv > 0
-
-    # QRU pair planning + SM fragment shading.
+    # QRU pair planning.
     if cfg.enable_qm:
         merge = plan_merges_segmented(surv_flush, quads.qpos[surv_rows],
                                       n_flushes, N_QUAD_POSITIONS)
         pairs_f = merge.pairs_per_segment
-        shader.shade_fragment_batches(n_surv, pairs_f)
-        stats.quads_merged_pairs += int(pairs_f.sum())
         # Post-merge output stream, in the scalar per-flush order: each
         # flush's merge pairs (position-major) first, then its singles
         # (arrival order).
@@ -270,7 +336,6 @@ def execute_flush_plan(plan, workload, config, stats, crop, zrop, shader,
                               out_counts)
     else:
         pairs_f = np.zeros(n_flushes, dtype=np.int64)
-        shader.shade_fragment_batches(n_surv, pairs_f)
         out_rows = surv_rows
         out_masks = blend_masks
         out_flush = surv_flush
@@ -285,18 +350,17 @@ def execute_flush_plan(plan, workload, config, stats, crop, zrop, shader,
 
     # PROP: dispatch toward the SMs plus the ordered return into the CROP
     # stream; skipped entirely for flushes with no survivors.
+    nonempty = n_surv > 0
     prop_work = cfg.prop_dispatch_weight * n_flush + n_crop
     prop_cycles = np.where(nonempty, prop_work / cfg.prop_quads_per_cycle,
                            0.0)
     prop_items = int((n_flush + n_crop)[nonempty].sum())
-    stats.units["prop"].add_sequence(prop_items, prop_cycles)
 
-    # CROP blends: per-flush first-occurrence-unique line tags, replayed
-    # through the real LRU cache in flush order.
+    # CROP blends: per-flush first-occurrence-unique line tags.
     live_rows = out_rows[live]
-    tag_stream = crop.quad_line_tag_pairs(quads.qx[live_rows],
-                                          quads.qy[live_rows],
-                                          workload.width)
+    tag_stream = quad_line_tag_pairs(quads.qx[live_rows],
+                                     quads.qy[live_rows],
+                                     workload.width, cfg)
     tag_flush = np.repeat(live_flush, 2)
     if live_rows.shape[0]:
         if cfg.cache_line_bytes % (16 * cfg.bytes_per_pixel) == 0:
@@ -331,8 +395,47 @@ def execute_flush_plan(plan, workload, config, stats, crop, zrop, shader,
         (np.zeros(1, dtype=np.int64),
          np.cumsum(np.bincount(dedup_flush,
                                minlength=n_flushes)))).astype(np.int64)
-    crop_misses = crop.blend_plan(n_crop, frag_counts, dedup_tags,
-                                  tag_splits)
+    return FlushProducts(workload.width, n_flush, n_surv, pairs_f, n_crop,
+                         frag_counts, dedup_tags, tag_splits, prop_items,
+                         prop_cycles)
+
+
+def apply_flush_products(plan, products, config, stats, crop, zrop, shader,
+                         trace=None):
+    """Account every flush of ``plan`` from its prepared ``products``.
+
+    Replays what depends on cache state — the ZROP stencil-line traffic
+    (its z-cache is fresh every draw) and the CROP line traffic through
+    the real, possibly shared and warm, LRU cache — and makes every
+    accumulation in the scalar per-flush order.
+    """
+    if plan.n_flushes == 0:
+        return
+    cfg = config
+    p = products
+    n_flushes = plan.n_flushes
+
+    # TC insertion throughput, accounted at flush over each whole batch.
+    stats.units["tc"].add_sequence(
+        int(p.n_flush.sum()), p.n_flush / cfg.tc_quads_per_cycle)
+
+    # ZROP termination test (HET): replay the stencil-line traffic.
+    if cfg.enable_het:
+        zrop_misses = zrop.termination_test_plan(
+            plan.tile, p.n_flush, p.n_surv, p.width)
+    else:
+        zrop_misses = np.zeros(n_flushes, dtype=np.int64)
+
+    # SM fragment shading (with QRU merge warps).
+    shader.shade_fragment_batches(p.n_surv, p.pairs)
+    if cfg.enable_qm:
+        stats.quads_merged_pairs += int(p.pairs.sum())
+
+    stats.units["prop"].add_sequence(p.prop_items, p.prop_cycles)
+
+    # CROP blends, replayed through the real LRU cache in flush order.
+    crop_misses = crop.blend_plan(p.n_crop, p.n_frags, p.crop_tags,
+                                  p.crop_tag_splits)
 
     # DRAM: the scalar loop interleaves the ZROP stencil fills and the
     # CROP fill+writeback traffic per flush; replicate that order.
@@ -346,8 +449,8 @@ def execute_flush_plan(plan, workload, config, stats, crop, zrop, shader,
     stats.dram_bytes += float(int(zrop_bytes.sum() + crop_bytes.sum()))
 
     if trace is not None:
-        trace.record_flushes(plan.tile, plan.reason, n_flush, n_surv,
-                             pairs_f, n_crop)
+        trace.record_flushes(plan.tile, plan.reason, p.n_flush, p.n_surv,
+                             p.pairs, p.n_crop)
 
 
 def apply_flush_counts(plan, stats):

@@ -26,8 +26,10 @@ from repro.knobs import PIPELINE_ENGINES
 from repro.hwmodel.crop import CropUnit
 from repro.hwmodel.flushplan import (
     apply_flush_counts,
+    apply_flush_products,
     build_flush_plan,
-    execute_flush_plan,
+    flushplan_checkpoint,
+    prepare_flush_plan,
 )
 from repro.hwmodel.prop import plan_merges
 from repro.hwmodel.raster_hw import RasterEngine
@@ -74,6 +76,20 @@ class DrawWorkload:
         self._term_tags = np.unique(
             ys * lines_per_row + xs // config.cache_line_bytes)
         self._n_terminated = int(terminated.sum())
+
+    def draw_memo(self):
+        """The draw memo of this workload's frame, or ``None``.
+
+        Only workloads built by :meth:`from_stream` from a stream that a
+        :class:`~repro.render.coherence.FrameCoherence` carrier captured
+        have one (see :meth:`~repro.render.coherence.FrameCoherence.
+        draw_memo`).
+        """
+        if self._term_source is None:
+            return None
+        stream = self._term_source[0]
+        carrier = stream.coherence
+        return None if carrier is None else carrier.draw_memo(stream)
 
     @property
     def n_terminated_pixels(self):
@@ -296,6 +312,13 @@ class GraphicsPipeline:
     flushes at once, while ``"scalar"`` walks the TC flushes one by one —
     the original reference path, kept for validation and as the golden
     oracle of the flush-engine equivalence tests.
+
+    Coherent draw replay: a batched draw of a frame whose content a
+    coherence carrier verified identical to a library frame reuses that
+    frame's flush plan and prepared products, memoized per
+    :meth:`~repro.hwmodel.config.GPUConfig.fingerprint`, and runs only
+    :func:`~repro.hwmodel.flushplan.apply_flush_products` — the step that
+    reads cache state.  The scalar engine never consults the memo.
     """
 
     ENGINES = PIPELINE_ENGINES
@@ -336,6 +359,9 @@ class GraphicsPipeline:
                 f"{type(workload_or_stream).__name__}")
 
         cfg = self.config
+        memo = workload.draw_memo() if engine == "batched" else None
+        memo_key = cfg.fingerprint() if memo is not None else None
+        replay = memo.get(memo_key) if memo is not None else None
         self._trace = trace
         stats = PipelineStats()
         shader = ShaderArray(cfg, stats)
@@ -347,7 +373,8 @@ class GraphicsPipeline:
         vertex.process_prims(workload.n_prims)
 
         if engine == "batched":
-            self._draw_batched(workload, raster, crop, zrop, shader, stats)
+            prepared = self._draw_batched(workload, raster, crop, zrop,
+                                          shader, stats, replay)
         else:
             self._draw_scalar(workload, raster, crop, zrop, shader, stats)
 
@@ -359,18 +386,37 @@ class GraphicsPipeline:
         raster.finalize()
         stats.finalize(cfg.pipeline_fill_cycles)
         self._trace = None
+        if memo is not None and replay is None:
+            # Stored only once the whole draw succeeded: a fault anywhere
+            # above leaves the memo without a half-written entry.
+            memo[memo_key] = prepared
         return DrawResult(stats, cfg, workload)
 
     # ------------------------------------------------------------------
 
-    def _draw_batched(self, workload, raster, crop, zrop, shader, stats):
-        """Plan the flush schedule, then execute every flush at once."""
-        plan = build_flush_plan(workload, self.config)
+    def _draw_batched(self, workload, raster, crop, zrop, shader, stats,
+                      replay=None):
+        """Plan the flush schedule, then execute every flush at once.
+
+        ``replay`` is a memoized ``(slim plan, products)`` pair of
+        verified-identical content under an identical config: planning
+        and preparation are skipped and only the apply step runs.
+        Returns the pair to memoize (``replay`` itself when replaying).
+        """
+        cfg = self.config
+        if replay is None:
+            plan = build_flush_plan(workload, cfg)
+            products = prepare_flush_plan(plan, workload, cfg)
+            plan = plan.slim()
+        else:
+            flushplan_checkpoint()
+            plan, products = replay
         raster.accumulate(plan.raster_portions, plan.raster_tiles,
                           plan.raster_quads)
-        execute_flush_plan(plan, workload, self.config, stats, crop, zrop,
-                           shader, trace=self._trace)
+        apply_flush_products(plan, products, cfg, stats, crop, zrop, shader,
+                             trace=self._trace)
         apply_flush_counts(plan, stats)
+        return plan, products
 
     def _draw_scalar(self, workload, raster, crop, zrop, shader, stats):
         """Reference path: walk TC flushes one by one."""

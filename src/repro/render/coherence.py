@@ -33,6 +33,18 @@ which could collide and silently break bit-identity.  Three outcomes:
 All three produce bit-identical caches, pinned by the fuzz tests in
 ``tests/test_coherence.py``.
 
+Draw replay and sealed states
+-----------------------------
+Each library state also owns a *draw memo*: the slim flush plan and the
+cache-independent flush products (:mod:`repro.hwmodel.flushplan`) a
+successful batched draw of the frame left behind, keyed by the
+:class:`~repro.hwmodel.config.GPUConfig` fingerprint.  A full hit moves
+the memo to the new state, so the draw replays only the cache-dependent
+apply step; a partial hit or a recompute starts an empty memo.  When the
+next frame begins, the previous state is *sealed*: it keeps only what a
+hit reads and drops the rest of its stream (see :class:`_SealedStream`).
+Replays are pinned by ``tests/test_draw_replay.py``.
+
 The ``coherence`` knob
 ----------------------
 ``"auto"`` and ``"incremental"`` enable the carrier (they differ only in
@@ -103,20 +115,61 @@ class _RowGroups:
         self.frag_offsets = _exclusive_cumsum(self.frag_counts)
 
 
-class _FrameState:
-    """One digested frame: the stream itself plus lazy coherence aux."""
+class _SealedStream:
+    """What a library state keeps of its frame's stream once sealed.
 
-    __slots__ = ("stream", "_rowgroups")
+    A hit reads the FrameIR rows and quad view (:meth:`FrameCoherence.
+    _verify`, :meth:`~FrameCoherence.begin_frame`), the alphas, and the
+    digestion caches of :attr:`FrameCoherence._FULL_HIT_KEYS` and
+    :attr:`~FrameCoherence._FULL_HIT_FAMILIES`.  Everything else — the
+    raw ``x``/``y``/``prim_ids`` columns, the draw-stage quad tables, the
+    quad view's expanded per-quad columns — is dropped.
+    """
+
+    __slots__ = ("frameir", "alphas", "width", "height", "_cache")
+
+    def __init__(self, stream, keys, families):
+        self.frameir = stream.frameir.sealed()
+        self.alphas = stream.alphas
+        self.width = stream.width
+        self.height = stream.height
+        self._cache = {
+            key: value for key, value in stream._cache.items()
+            if key in keys or (isinstance(key, tuple) and key[0] in families)
+        }
+
+    def __len__(self):
+        return self.alphas.shape[0]
+
+
+class _FrameState:
+    """One digested frame: the stream itself plus lazy coherence aux.
+
+    ``draw_memo`` maps a :meth:`~repro.hwmodel.config.GPUConfig.
+    fingerprint` to the ``(slim FlushPlan, FlushProducts)`` pair a
+    successful batched draw of this frame stored (see :meth:`~repro.
+    hwmodel.pipeline.GraphicsPipeline.draw`).
+    """
+
+    __slots__ = ("stream", "_rowgroups", "draw_memo")
 
     def __init__(self, stream):
         self.stream = stream
         self._rowgroups = None
+        self.draw_memo = {}
 
     def rowgroups(self):
         if self._rowgroups is None:
             self._rowgroups = _RowGroups(self.stream.frameir,
                                          self.stream.height)
         return self._rowgroups
+
+    def seal(self):
+        """Reduce the stream to what a hit reads (idempotent)."""
+        if not isinstance(self.stream, _SealedStream):
+            self.stream = _SealedStream(
+                self.stream, FrameCoherence._FULL_HIT_KEYS,
+                FrameCoherence._FULL_HIT_FAMILIES)
 
 
 class FrameCoherence:
@@ -212,11 +265,14 @@ class FrameCoherence:
     def snapshot(self):
         """Rewindable copy of the carrier's cross-frame state.
 
-        Shallow per-entry copies are sound: digested :class:`_FrameState`
-        entries are never mutated in place after capture (their stream
-        caches are frozen read-only), so only the container structures and
-        the per-frame cursors need copying.  Used by the self-healing
-        frame executor to rewind the carrier after a failed attempt.
+        Shallow per-entry copies are sound: a digested :class:`_FrameState`
+        is rewritten exactly once after capture — sealed at the next
+        :meth:`begin_frame`, which drops data without changing what a hit
+        reads — and its draw memo only gains complete entries, each a pure
+        function of the state's content and a config.  So only the
+        container structures and the per-frame cursors need copying.  Used
+        by the self-healing frame executor to rewind the carrier after a
+        failed attempt.
         """
         return (list(self._states.items()), self._prev, self._current,
                 self._key, self._hit, self._full_hit, self._acc_patch,
@@ -245,6 +301,9 @@ class FrameCoherence:
         """
         if self.mode == "off":
             return
+        if self._prev is not None:
+            # The previous frame is done: keep only what a hit reads.
+            self._prev.seal()
         if stream.frameir is None or not stream._use_ir_digest():
             return
         t0 = perf_counter()
@@ -341,8 +400,11 @@ class FrameCoherence:
         else:
             state = _FrameState(stream)
         if self._full_hit and self._hit is not None:
-            # Content-identical frame: the scanline aux carries over.
+            # Content-identical frame: the scanline aux and the draw memo
+            # carry over (the memo as a copy, so entries this frame adds
+            # never reach the replaced state a rewind could restore).
             state._rowgroups = self._hit._rowgroups
+            state.draw_memo = dict(self._hit.draw_memo)
             prev_acc = self._hit.stream._cache.get("accumulated_alpha")
             if prev_acc is not None:
                 prev_acc.flags.writeable = False
@@ -357,6 +419,18 @@ class FrameCoherence:
             arr = stream._cache.get(key)
             if arr is not None:
                 arr.flags.writeable = False
+
+    def draw_memo(self, stream):
+        """The draw memo of ``stream``'s captured state, or ``None``.
+
+        Only the frame captured last can be drawn through the carrier, and
+        its state carries a memo only forward from a verified full hit —
+        a key collision, a partial hit or a recompute starts empty.
+        """
+        state = self._prev
+        if state is None or state.stream is not stream:
+            return None
+        return state.draw_memo
 
     # ------------------------------------------------------------------
     # Serving paths

@@ -17,6 +17,7 @@ All heavy quantities are computed lazily and cached.
 
 from __future__ import annotations
 
+import weakref
 from time import perf_counter
 
 import numpy as np
@@ -145,15 +146,30 @@ class FragmentStream:
         self.binning = binning
         self.frameir = frameir
         self.ir = ir
-        #: Optional :class:`~repro.render.coherence.FrameCoherence` carrier
-        #: (attached by trajectory sessions); consulted before the arrival
-        #: caches are recomputed from scratch.
-        self.coherence = None
+        self._coherence = None
         #: Wall-clock of the named digestion substages (ms), accumulated
         #: as the lazy caches materialise; the hardware renderer folds
         #: these into its per-frame stage breakdown.
         self.substage_ms = {}
         self._cache = {}
+
+    @property
+    def coherence(self):
+        """Optional :class:`~repro.render.coherence.FrameCoherence` carrier
+        (attached by trajectory sessions); consulted before the arrival
+        caches are recomputed from scratch.
+
+        Held weakly: the carrier's library holds streams, so a strong
+        back-reference would make every session a reference cycle that
+        only the cyclic collector frees.  A stream outliving its carrier
+        simply digests without one.
+        """
+        ref = self._coherence
+        return None if ref is None else ref()
+
+    @coherence.setter
+    def coherence(self, carrier):
+        self._coherence = None if carrier is None else weakref.ref(carrier)
 
     def _add_substage(self, name, t0):
         self.substage_ms[name] = (self.substage_ms.get(name, 0.0)
@@ -695,13 +711,26 @@ class _QuadColumnBuilder:
     """
 
     def __init__(self, stream, threshold, lag, order, starts, emit):
-        self.stream = stream
+        # Weak: the stream's cache owns the table that owns this builder,
+        # so a strong reference would make every frame a reference cycle
+        # only the cyclic collector could free.
+        self._stream = weakref.ref(stream)
         self.threshold = threshold
         self.lag = lag
         self.order = order
         self.starts = starts
         self.emit = emit
         self._bit = None
+
+    @property
+    def stream(self):
+        stream = self._stream()
+        if stream is None:
+            raise ReferenceError(
+                "the fragment stream of this quad table was freed before "
+                "all of its deferred columns were built; keep the stream "
+                "alive while reading the table")
+        return stream
 
     def _bits(self):
         """Coverage bit (y & 1) * 2 + (x & 1) per grouped fragment."""
@@ -868,9 +897,8 @@ class QuadTable:
             setattr(self, name, value)
             if all(column in self.__dict__
                    for column in cls._LAZY_COLUMNS | cls._META_COLUMNS):
-                # Every column is materialised: drop the builder so it
-                # stops pinning the stream and its O(n_fragments) index
-                # arrays.
+                # Every column is materialised: drop the builder and its
+                # O(n_fragments) index arrays.
                 self._lazy = None
             return value
         raise AttributeError(

@@ -156,7 +156,6 @@ class QuadIR:
                 "qpos": (q_qy & 7) * 8 + (q_qx & 7),
                 "q_pair": q_pair,
             }
-            self._meta_state = None
         return self._meta
 
     def slots(self):
@@ -196,8 +195,25 @@ class QuadIR:
                     "FrameIR quad slots lost fragments: got "
                     f"{int(self._frag_counts.sum())}, stream has "
                     f"{self._n_fragments}")
-            self._slot_state = None
         return self._slots
+
+    def sealed(self):
+        """A copy holding the group ranges and the compact expansion
+        states but none of the expanded per-quad columns.
+
+        What a coherence library keeps of a frame: a hit reads only the
+        :class:`GroupIR`, and the copy re-expands :meth:`meta` and
+        :meth:`slots` on demand, bit-identically.
+        """
+        twin = QuadIR(self.groups, self._meta_state, self._slot_state,
+                      self._n_quads, self._n_fragments)
+        if self._meta_state is None:
+            # Nothing to re-expand from (the empty view is prebuilt).
+            twin._meta = self._meta
+        if self._slot_state is None:
+            twin._slots = self._slots
+            twin._frag_counts = self._frag_counts
+        return twin
 
     def frag_counts(self):
         """Covered pixels per quad (the ``n_fragments`` column)."""
@@ -266,6 +282,16 @@ class FrameIR:
     @property
     def n_rows(self):
         return self.row_prim.shape[0]
+
+    def sealed(self):
+        """A copy sharing the row arrays, with a :meth:`QuadIR.sealed`
+        quad view when one was built."""
+        twin = FrameIR(self.row_prim, self.row_y, self.row_xlo,
+                       self.row_xhi, self.row_fstart, self.n_fragments,
+                       self.width, self.height)
+        if self._quads is not None:
+            twin._quads = self._quads.sealed()
+        return twin
 
     def quads(self):
         """The cached :class:`QuadIR` of this frame (built on first use)."""

@@ -13,8 +13,10 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
+import repro.hwmodel.pipeline as pipeline_module
 from repro import faults
 from repro.engine import (
     FrameExecutionError,
@@ -26,6 +28,7 @@ from repro.engine.cache import CACHE_SCHEMA, payload_checksum
 from repro.engine.session import RenderSession
 from repro.faults import FaultPlan
 from repro.hwmodel.caches import LRUCache
+from repro.hwmodel.flushplan import FlushProducts
 
 SCENE = "lego"
 N_VIEWS = 3
@@ -381,6 +384,91 @@ class TestCacheHardening:
         assert len(set(produced)) == 2  # distinct suffix per store
         assert list(tmp_path.glob("*.tmp")) == []
         assert cache.load("k1")["value"] == 3
+
+
+# ----------------------------------------------------------------------
+# Coherent draw replay under faults
+# ----------------------------------------------------------------------
+
+def _memo_entries(session):
+    """Every library state's draw memo, keyed by content key."""
+    return {key: state.draw_memo
+            for key, state in session._carrier()._states.items()}
+
+
+def _assert_memo_entries_equal(want, got):
+    assert want.keys() == got.keys()
+    for key in want:
+        (plan_a, prod_a), (plan_b, prod_b) = want[key], got[key]
+        assert np.array_equal(plan_a.tile, plan_b.tile)
+        assert plan_a.reason == plan_b.reason
+        assert plan_a.tc_flush_counts == plan_b.tc_flush_counts
+        assert plan_a.tgc_flush_counts == plan_b.tgc_flush_counts
+        assert (prod_a is None) == (prod_b is None)
+        for name in FlushProducts.__slots__ if prod_a is not None else ():
+            assert np.array_equal(getattr(prod_a, name),
+                                  getattr(prod_b, name)), name
+
+
+class TestDrawReplayFaults:
+    @pytest.fixture
+    def plan_builds(self, monkeypatch):
+        calls = []
+        real = pipeline_module.build_flush_plan
+
+        def counting(workload, config):
+            calls.append(config)
+            return real(workload, config)
+
+        monkeypatch.setattr(pipeline_module, "build_flush_plan", counting)
+        return calls
+
+    def test_faulted_revisit_orbit_heals_bit_identical(self, plan_builds):
+        """The replay path passes the flushplan checkpoint: a fault fires
+        on a memo-served draw and the retry heals it bit-identically."""
+        with faults.active(None):
+            clean = RenderSession(SCENE, warm_crop_cache=True,
+                                  coherence="off").run(n_views=N_VIEWS)
+            session = RenderSession(SCENE, warm_crop_cache=True,
+                                    coherence="incremental")
+            session.run(n_views=N_VIEWS)  # fills the library and memos
+        del plan_builds[:]
+        with faults.active(FaultPlan.parse("flushplan:raise,times=1")):
+            chaos = session.run(n_views=N_VIEWS)
+        assert chaos.aggregates() == clean.aggregates()
+        assert [(inc["point"], inc["recovered_by"])
+                for inc in chaos.incidents()] == [("flushplan", "retry")]
+        assert plan_builds == [], "every draw of the lap replays its memo"
+        with faults.active(
+                FaultPlan.parse("seed=5; flushplan:raise,p=0.3")):
+            seeded = session.run(n_views=N_VIEWS)
+        assert seeded.aggregates() == clean.aggregates()
+        assert seeded.incidents()
+
+    def test_rewind_leaves_no_half_written_memo(self, plan_builds):
+        """A fault in the CROP replay of a memo-filling draw: the rewind
+        drops the attempt's state, and the healed library holds exactly
+        the memos of a fault-free run, which then replay exactly."""
+        with faults.active(None):
+            clean = RenderSession(SCENE, warm_crop_cache=True,
+                                  coherence="incremental")
+            first = clean.run(n_views=N_VIEWS)
+        session = RenderSession(SCENE, warm_crop_cache=True,
+                                coherence="incremental")
+        with faults.active(FaultPlan.parse("lru.replay:raise,times=1")):
+            healed = session.run(n_views=N_VIEWS)
+        assert [(inc["point"], inc["recovered_by"])
+                for inc in healed.incidents()] == [("lru.replay", "retry")]
+        assert healed.aggregates() == first.aggregates()
+        want, got = _memo_entries(clean), _memo_entries(session)
+        assert want.keys() == got.keys()
+        for key in want:
+            _assert_memo_entries_equal(want[key], got[key])
+        del plan_builds[:]
+        with faults.active(None):
+            again = session.run(n_views=N_VIEWS)
+        assert again.aggregates() == first.aggregates()
+        assert plan_builds == []
 
 
 # ----------------------------------------------------------------------
