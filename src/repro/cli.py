@@ -31,7 +31,7 @@ from repro.engine.session import RenderSession
 from repro.experiments.runner import format_table
 from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.report import compare_variants, draw_report
-from repro.knobs import COHERENCE_MODES, IR_MODES, SWMODEL_MODES
+from repro.knobs import COHERENCE_MODES, IR_MODES
 from repro.perf.report import (
     check_report,
     load_report,
@@ -72,7 +72,7 @@ _EXPERIMENT_MODULES = {
 }
 
 
-def _build_stream(scene_name, seed, ir=None):
+def _build_stream(scene_name, seed, ir="auto"):
     profile = get_profile(scene_name)
     cloud = build_scene(profile, seed=seed)
     camera = profile.camera()
@@ -119,8 +119,8 @@ def cmd_trajectory(args):
         args.scene, backend=args.backend, baseline=baseline,
         device=args.device, seed=args.seed,
         warm_crop_cache=args.warm_crop_cache, result_cache=cache,
-        ir=args.ir, coherence=args.coherence, swmodel=args.swmodel,
-        strict=args.strict, watchdog_ms=args.watchdog_ms)
+        ir=args.ir, coherence=args.coherence, strict=args.strict,
+        watchdog_ms=args.watchdog_ms)
     # --faults overrides any $REPRO_FAULTS plan for this run; without it
     # the environment plan (if any) stays in effect.
     plan = faults.FaultPlan.parse(args.faults) if args.faults else None
@@ -262,8 +262,7 @@ def cmd_bench(args):
     failures = 0
     for name in suites:
         run = run_suite(name, quick=args.quick, scene=args.scene,
-                        repeat=args.repeat, ir=args.ir,
-                        coherence=args.coherence, swmodel=args.swmodel)
+                        repeat=args.repeat)
         report = suite_report(run, baseline=baseline)
         rows = []
         for row in report["benchmarks"]:
@@ -381,11 +380,11 @@ def build_parser():
     simulate.add_argument("--all", action="store_true",
                           help="run and compare all four variants")
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--ir", default=None,
+    simulate.add_argument("--ir", default="auto",
                           choices=IR_MODES,
-                          help="digestion engine: FrameIR-backed (auto/"
-                               "frameir) or the legacy sort-based oracle "
-                               "(bit-identical; default $REPRO_IR or auto)")
+                          help="rasterise with a FrameIR (auto) or emit a "
+                               "bare stream so every consumer takes its "
+                               "sort-based oracle (legacy); bit-identical")
 
     trajectory = sub.add_parser(
         "trajectory",
@@ -414,24 +413,17 @@ def build_parser():
                                  "(serial only)")
     trajectory.add_argument("--cache-dir", default=None,
                             help="on-disk trajectory result cache directory")
-    trajectory.add_argument("--ir", default=None,
+    trajectory.add_argument("--ir", default="auto",
                             choices=IR_MODES,
-                            help="digestion engine (bit-identical; default "
-                                 "$REPRO_IR or auto)")
-    trajectory.add_argument("--coherence", default=None,
+                            help="rasterise with a FrameIR (auto) or emit "
+                                 "bare streams so digestion and the cuda "
+                                 "models take their sort-based oracles "
+                                 "(legacy); bit-identical")
+    trajectory.add_argument("--coherence", default="auto",
                             choices=COHERENCE_MODES,
-                            help="cross-frame digestion reuse: incremental "
-                                 "updates against the previous frames' "
-                                 "digested state (bit-identical; serial "
-                                 "only for 'incremental'; default "
-                                 "$REPRO_COHERENCE or auto)")
-    trajectory.add_argument("--swmodel", default=None,
-                            choices=SWMODEL_MODES,
-                            help="software-path model engine of the cuda "
-                                 "backends: FrameIR-native (auto/frameir) "
-                                 "or the legacy fragment-sort oracle "
-                                 "(bit-identical; default $REPRO_SWMODEL "
-                                 "or auto)")
+                            help="cross-frame digestion reuse against the "
+                                 "previous frames' digested state "
+                                 "(bit-identical; bypassed by --jobs > 1)")
     trajectory.add_argument("--faults", default=None,
                             help="seeded fault-injection plan, e.g. "
                                  "'seed=7; digest:raise,times=1; "
@@ -523,20 +515,6 @@ def build_parser():
     bench.add_argument("--check-tolerance", type=float, default=0.5,
                        help="allowed slowdown before --check fails "
                             "(default 0.5 = 50%%)")
-    bench.add_argument("--ir", default=None,
-                       choices=IR_MODES,
-                       help="digestion engine the timed paths run under "
-                            "(bit-identical; default $REPRO_IR or auto)")
-    bench.add_argument("--coherence", default=None,
-                       choices=COHERENCE_MODES,
-                       help="cross-frame digestion reuse mode for session "
-                            "suites (bit-identical; default "
-                            "$REPRO_COHERENCE or auto)")
-    bench.add_argument("--swmodel", default=None,
-                       choices=SWMODEL_MODES,
-                       help="software-path model engine of the trajectory "
-                            "suite's cuda rows (bit-identical; default "
-                            "$REPRO_SWMODEL or auto)")
 
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure")

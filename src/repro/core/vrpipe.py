@@ -31,8 +31,7 @@ from repro.hwmodel.config import GPUConfig, jetson_agx_orin
 from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
 from repro.hwmodel.prop import qru_storage_bytes
 from repro.hwmodel.tgc import TileGridCoalescer
-from repro.render.coherence import FrameCoherence, resolve_coherence
-from repro.render.frameir import resolve_ir
+from repro.render.coherence import FrameCoherence
 from repro.render.splat_raster import rasterize_splats
 from repro.swrender.renderer import SWKernelModel
 
@@ -60,17 +59,15 @@ def variant_config(variant, device=None, **overrides):
     return base.variant(enable_het=het, enable_qm=qm, **overrides)
 
 
-def run_variant(stream, variant, device=None, engine="batched", ir=None,
-                **overrides):
+def run_variant(stream, variant, device=None, engine="batched", **overrides):
     """Simulate one draw call under ``variant``; returns a DrawResult."""
     config = variant_config(variant, device, **overrides)
-    return GraphicsPipeline(config).draw(stream, engine=engine, ir=ir)
+    return GraphicsPipeline(config).draw(stream, engine=engine)
 
 
-def run_all_variants(stream, device=None, engine="batched", ir=None,
-                     **overrides):
+def run_all_variants(stream, device=None, engine="batched", **overrides):
     """Simulate all four variants on the same stream."""
-    return {name: run_variant(stream, name, device, engine=engine, ir=ir,
+    return {name: run_variant(stream, name, device, engine=engine,
                               **overrides)
             for name in VARIANTS}
 
@@ -178,24 +175,22 @@ class HardwareRenderer:
         Flush engine of the pipeline model: ``"batched"`` (default, the
         flush-plan engine) or ``"scalar"`` (the retained per-flush path);
         both are cycle- and stat-exact against each other.
-    ir:
-        Digestion mode (see :mod:`repro.render.frameir`): ``"auto"``
-        (default) digests streams off their FrameIR when they carry one,
-        ``"frameir"`` requires it, ``"legacy"`` keeps the sort-based
-        oracle path.  All modes are bit-identical.
     coherence:
         Cross-frame digestion reuse for *standalone* renderer loops (see
-        :mod:`repro.render.coherence`): ``"auto"``/``"incremental"``
-        attach a private :class:`~repro.render.coherence.FrameCoherence`
-        carrier that serves repeated frames from digested state (bit-
-        identical by construction).  The default ``None`` — like
-        ``"off"`` — keeps the renderer stateless across frames; sessions
-        manage their own carrier and take precedence on streams they
-        already classified.
+        :mod:`repro.render.coherence`): ``"auto"`` attaches a private
+        :class:`~repro.render.coherence.FrameCoherence` carrier that
+        serves repeated frames from digested state (bit-identical by
+        construction).  The default ``"off"`` keeps the renderer
+        stateless across frames; sessions manage their own carrier and
+        take precedence on streams they already classified.
+
+    Digestion follows the stream: FrameIR-carrying streams (the
+    :func:`~repro.render.splat_raster.rasterize_splats` default) digest
+    off the IR, bare streams through the sort-based oracle.
     """
 
     def __init__(self, config=None, kernel_model=None, engine="batched",
-                 ir=None, coherence=None):
+                 coherence="off"):
         self.config = config if config is not None else variant_config("het+qm")
         if not isinstance(self.config, GPUConfig):
             raise TypeError("config must be a GPUConfig")
@@ -205,15 +200,8 @@ class HardwareRenderer:
                 f"{GraphicsPipeline.ENGINES}")
         self.kernel_model = kernel_model or SWKernelModel()
         self.engine = engine
-        # Validate explicit knob values but keep ``None`` unresolved: the
-        # ``$REPRO_IR`` process default must stay best-effort (resolved at
-        # digestion time), not harden into a by-name requirement here.
-        self.ir = resolve_ir(ir) if ir is not None else None
-        self.coherence = (resolve_coherence(coherence)
-                          if coherence is not None else None)
-        self._carrier = (FrameCoherence(self.coherence)
-                         if self.coherence in ("auto", "incremental")
-                         else None)
+        self._carrier = (FrameCoherence(coherence)
+                         if coherence != "off" else None)
 
     def render(self, cloud, camera, crop_cache=None):
         """Render a cloud; returns an :class:`HWRenderResult`.
@@ -229,8 +217,7 @@ class HardwareRenderer:
             raise TypeError(
                 f"camera must be a Camera, got {type(camera).__name__}")
         pre = preprocess(cloud, camera)
-        stream = rasterize_splats(pre.splats, camera.width, camera.height,
-                                  ir=self.ir)
+        stream = rasterize_splats(pre.splats, camera.width, camera.height)
         return self.render_stream(stream, pre, crop_cache=crop_cache)
 
     def render_stream(self, stream, pre=None, crop_cache=None):
@@ -259,7 +246,7 @@ class HardwareRenderer:
             # classified arrive with ``stream.coherence`` set and are
             # left alone.
             self._carrier.begin_frame(stream)
-        workload = DrawWorkload.from_stream(stream, self.config, ir=self.ir)
+        workload = DrawWorkload.from_stream(stream, self.config)
         t1 = time.perf_counter()
         draw = GraphicsPipeline(self.config).draw(workload,
                                                   crop_cache=crop_cache,

@@ -19,6 +19,10 @@ spec            path
 ``cuda+et``      CUDA-style software renderer with early termination
 ``reference``    ground-truth blender (functional only, no timing)
 ==============  ======================================================
+
+No backend takes an oracle knob: which digestion and software-model
+engine runs is decided by the stream each backend is handed (see
+:mod:`repro.render.frameir`).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.caches import LRUCache
 from repro.hwmodel.config import jetson_agx_orin, rtx_3090
 from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA
-from repro.render.frameir import resolve_ir
 from repro.render.splat_raster import rasterize_splats
 from repro.swrender.renderer import CudaRenderer, SWKernelModel
 
@@ -49,13 +52,12 @@ def device_kernel_model(device):
     return SWKernelModel(issue_slots=float(device.sm_issue_slots_per_cycle))
 
 
-def make_cuda_renderer(device_name="orin", early_term=True, ir=None,
-                       swmodel=None):
+def make_cuda_renderer(device_name="orin", early_term=True):
     """A CUDA-path renderer matched to the device's clock and SM count."""
     device = make_device(device_name)
     return CudaRenderer(kernel_model=device_kernel_model(device),
                         frequency_hz=device.frequency_hz(),
-                        early_term=early_term, ir=ir, swmodel=swmodel)
+                        early_term=early_term)
 
 
 class FrameResult:
@@ -133,22 +135,20 @@ class HardwareBackend:
 
     ``engine`` selects the pipeline's flush engine: the batched flush-plan
     engine (default) or the retained scalar per-flush path — both produce
-    cycle- and stat-identical results.  ``ir`` selects the digestion path
-    (FrameIR-backed or the legacy sort-based oracle, see
-    :mod:`repro.render.frameir`) — likewise bit-identical.  ``coherence``
-    enables cross-frame digestion reuse for standalone backend loops (see
+    cycle- and stat-identical results.  ``coherence`` enables cross-frame
+    digestion reuse for standalone backend loops (see
     :mod:`repro.render.coherence`); sessions manage their own carrier and
     leave this at its stateless default.
     """
 
-    def __init__(self, spec, variant, device, engine="batched", ir=None,
-                 coherence=None):
+    def __init__(self, spec, variant, device, engine="batched",
+                 coherence="off"):
         self.spec = spec
         self.variant = variant
         self.config = variant_config(variant, device)
         self.renderer = HardwareRenderer(
             config=self.config, kernel_model=device_kernel_model(device),
-            engine=engine, ir=ir, coherence=coherence)
+            engine=engine, coherence=coherence)
 
     def render(self, cloud, camera, crop_cache=None):
         res = self.renderer.render(cloud, camera, crop_cache=crop_cache)
@@ -180,20 +180,14 @@ class HardwareBackend:
 
 
 class CudaBackend:
-    """CUDA-style software rendering (Figure 5's SW path).
+    """CUDA-style software rendering (Figure 5's SW path)."""
 
-    ``ir`` selects the digestion path of streams this backend rasterises
-    itself, and ``swmodel`` the warp-model engine (FrameIR-backed or the
-    fragment-sort oracle, see :mod:`repro.swrender.warp_model`) — both
-    bit-identical mode pairs.
-    """
-
-    def __init__(self, spec, device, early_term, ir=None, swmodel=None):
+    def __init__(self, spec, device, early_term):
         self.spec = spec
         self.renderer = CudaRenderer(
             kernel_model=device_kernel_model(device),
             frequency_hz=device.frequency_hz(),
-            early_term=early_term, ir=ir, swmodel=swmodel)
+            early_term=early_term)
 
     def render(self, cloud, camera, crop_cache=None):
         self._check_no_cache(crop_cache)
@@ -230,16 +224,13 @@ class CudaBackend:
 class ReferenceBackend:
     """Ground-truth blender: functional output only, no timing model."""
 
-    def __init__(self, spec, device=None, ir=None):
+    def __init__(self, spec, device=None):
         self.spec = spec
-        # None stays None so the $REPRO_IR default remains best-effort.
-        self.ir = resolve_ir(ir) if ir is not None else None
 
     def render(self, cloud, camera, crop_cache=None):
         self._check_no_cache(crop_cache)
         pre = preprocess(cloud, camera)
-        stream = rasterize_splats(pre.splats, camera.width, camera.height,
-                                  ir=self.ir)
+        stream = rasterize_splats(pre.splats, camera.width, camera.height)
         return self.render_stream(stream, pre)
 
     def render_stream(self, stream, pre=None, crop_cache=None):
@@ -267,8 +258,8 @@ _REGISTRY = {}
 
 
 def register_backend(spec, factory):
-    """Register ``factory(spec, device, ir=None, coherence=None,
-    engine=None, swmodel=None) -> backend`` under ``spec``."""
+    """Register ``factory(spec, device, coherence="off", engine=None)
+    -> backend`` under ``spec``."""
     if spec in _REGISTRY:
         raise ValueError(f"backend {spec!r} is already registered")
     # repro-lint: ok(R6): populated once at import time before workers exist; read-only afterwards
@@ -298,7 +289,7 @@ def backend_spec(spec_or_backend):
 
 
 def resolve_backend(spec_or_backend, device=None, device_name="orin",
-                    ir=None, coherence=None, engine=None, swmodel=None):
+                    coherence="off", engine=None):
     """Return a backend instance for a spec string *or* a ready instance.
 
     Backend instances (anything implementing :class:`RendererBackend`)
@@ -308,24 +299,20 @@ def resolve_backend(spec_or_backend, device=None, device_name="orin",
             spec_or_backend, "render_stream"):
         return spec_or_backend
     return create_backend(backend_spec(spec_or_backend), device=device,
-                          device_name=device_name, ir=ir,
-                          coherence=coherence, engine=engine,
-                          swmodel=swmodel)
+                          device_name=device_name, coherence=coherence,
+                          engine=engine)
 
 
-def create_backend(spec, device=None, device_name="orin", ir=None,
-                   coherence=None, engine=None, swmodel=None):
+def create_backend(spec, device=None, device_name="orin", coherence="off",
+                   engine=None):
     """Instantiate the backend registered under ``spec``.
 
     ``device`` (a :class:`~repro.hwmodel.config.GPUConfig`) overrides the
-    ``device_name`` preset.  ``ir`` sets the backend's digestion mode
-    (see :mod:`repro.render.frameir`), ``coherence`` its standalone
-    cross-frame reuse mode (see :mod:`repro.render.coherence`),
+    ``device_name`` preset.  ``coherence`` sets the backend's standalone
+    cross-frame reuse mode (see :mod:`repro.render.coherence`) and
     ``engine`` the hardware pipeline's flush engine (``"batched"`` /
-    ``"scalar"``, ``None`` = backend default), and ``swmodel`` the
-    software path's model engine (see
-    :mod:`repro.swrender.warp_model`); all are ignored by backends they
-    don't apply to.
+    ``"scalar"``, ``None`` = backend default); both are ignored by
+    backends they don't apply to.
     """
     try:
         factory = _REGISTRY[spec]
@@ -335,13 +322,11 @@ def create_backend(spec, device=None, device_name="orin", ir=None,
         ) from None
     if device is None:
         device = make_device(device_name)
-    # Factories registered before the newer knobs existed keep working:
-    # only pass a knob the caller actually set.
-    kwargs = {"ir": ir, "coherence": coherence}
+    # Factories registered without an engine knob keep working: only pass
+    # it when the caller set it.
+    kwargs = {"coherence": coherence}
     if engine is not None:
         kwargs["engine"] = engine
-    if swmodel is not None:
-        kwargs["swmodel"] = swmodel
     return factory(spec, device, **kwargs)
 
 
@@ -349,24 +334,19 @@ def _register_defaults():
     for variant in VARIANTS:
         register_backend(
             f"hw:{variant}",
-            lambda spec, device, ir=None, coherence=None, engine=None,
-                   swmodel=None, v=variant:
+            lambda spec, device, coherence="off", engine=None, v=variant:
                 HardwareBackend(spec, v, device,
                                 engine=engine or "batched",
-                                ir=ir, coherence=coherence))
+                                coherence=coherence))
     register_backend(
-        "cuda", lambda spec, device, ir=None, coherence=None, engine=None,
-            swmodel=None:
-            CudaBackend(spec, device, early_term=False, ir=ir,
-                        swmodel=swmodel))
+        "cuda", lambda spec, device, coherence="off", engine=None:
+            CudaBackend(spec, device, early_term=False))
     register_backend(
-        "cuda+et", lambda spec, device, ir=None, coherence=None, engine=None,
-            swmodel=None:
-            CudaBackend(spec, device, early_term=True, ir=ir,
-                        swmodel=swmodel))
+        "cuda+et", lambda spec, device, coherence="off", engine=None:
+            CudaBackend(spec, device, early_term=True))
     register_backend(
-        "reference", lambda spec, device, ir=None, coherence=None,
-            engine=None, swmodel=None: ReferenceBackend(spec, device, ir=ir))
+        "reference", lambda spec, device, coherence="off", engine=None:
+            ReferenceBackend(spec, device))
 
 
 _register_defaults()

@@ -30,10 +30,9 @@ from repro.engine.backends import backend_spec, resolve_backend
 from repro.engine.executor import (FrameIncident, FrameLadderExhausted,
                                    frame_seed, run_frames)
 from repro.gaussians.preprocess import preprocess
-from repro.render.coherence import FrameCoherence, resolve_coherence
-from repro.render.frameir import resolve_ir
+from repro.knobs import check_mode
+from repro.render.coherence import FrameCoherence
 from repro.render.splat_raster import rasterize_splats
-from repro.swrender.warp_model import resolve_swmodel
 from repro.workloads.catalog import SceneProfile, build_scene, get_profile
 from repro.workloads.viewpoints import scene_viewpoints
 
@@ -249,22 +248,21 @@ class RenderSession:
         Optional :class:`~repro.engine.cache.ResultCache`; trajectory
         runs are served from disk on a content-key hit.
     ir:
-        Digestion mode shared by the session's rasterisation and both
-        backends (``"auto"`` / ``"frameir"`` / ``"legacy"``, see
-        :mod:`repro.render.frameir`).  Every mode produces bit-identical
-        frames — the knob only selects which digestion engine runs — so
-        the disk cache key is deliberately ``ir``-agnostic.
+        The session's rasterisation mode (``"auto"`` / ``"legacy"``, see
+        :mod:`repro.render.frameir`) — the library's one oracle selector.
+        ``"legacy"`` emits bare streams, so digestion, the coherence
+        carrier and the CUDA warp/multipass models all take their
+        retained sort-based oracles.  Both modes produce bit-identical
+        frames, so the disk cache key is deliberately ``ir``-agnostic.
     coherence:
-        Cross-frame digestion reuse (``"auto"`` / ``"incremental"`` /
-        ``"off"``, see :mod:`repro.render.coherence`).  The session owns
-        one :class:`~repro.render.coherence.FrameCoherence` carrier
-        shared by :meth:`render_frame` calls and serial :meth:`run`
-        trajectories, so revisited viewpoints reuse digested state.
-        Like ``ir``, every mode is bit-identical — the disk cache key
-        stays ``coherence``-agnostic — and ``None`` defers to the
-        ``$REPRO_COHERENCE`` process default.  Parallel runs
-        (``jobs > 1``) silently bypass the carrier under ``"auto"`` and
-        refuse under explicit ``"incremental"``.
+        Cross-frame digestion reuse (``"auto"`` / ``"off"``, see
+        :mod:`repro.render.coherence`).  The session owns one
+        :class:`~repro.render.coherence.FrameCoherence` carrier shared by
+        :meth:`render_frame` calls and serial :meth:`run` trajectories,
+        so revisited viewpoints reuse digested state.  Like ``ir``, both
+        modes are bit-identical — the disk cache key stays
+        ``coherence``-agnostic.  Parallel runs (``jobs > 1``) bypass the
+        carrier.
     strict:
         ``True`` restores raise-through semantics: a frame failure
         propagates immediately instead of entering the degradation
@@ -284,36 +282,34 @@ class RenderSession:
     then ``engine=scalar``.  Each rung re-renders the frame through a
     *retained bit-exact oracle* of the failed fast path, so a degraded
     frame's record is bit-identical to a clean one — only wall-clock
-    changes.  Recoveries are logged as structured incidents on the
-    frame's record; a frame that fails every rung raises
-    :class:`~repro.engine.executor.FrameLadderExhausted`.  Degraded
-    rungs need to rebuild backends from their registry specs, so
-    sessions handed ready backend *instances* ladder through the retry
-    rung only.
+    changes.  The ``ir=legacy`` rung only changes the session's own
+    rasterise call: the bare stream it emits takes every consumer's
+    oracle on its own.  Recoveries are logged as structured incidents on
+    the frame's record; a frame that fails every rung raises
+    :class:`~repro.engine.executor.FrameLadderExhausted`.  The
+    ``engine=scalar`` rung rebuilds backends from their registry specs,
+    so sessions handed ready backend *instances* ladder through the
+    retry rung only.
     """
 
     #: The degradation ladder, least- to most-degraded.  Every rung is
     #: bit-identical in its outputs; later rungs bypass progressively
     #: more of the vectorized fast paths (and their failure modes).
-    LADDER = ("primary", "retry", "coherence=off", "swmodel=legacy",
-              "ir=legacy", "engine=scalar")
+    LADDER = ("primary", "retry", "coherence=off", "ir=legacy",
+              "engine=scalar")
 
-    #: rung -> (use coherence carrier, ir override, flush-engine override,
-    #: swmodel override).  The deeper rungs also pin ``swmodel`` to the
-    #: fragment-sort oracle: ``ir=legacy`` streams carry no FrameIR for
-    #: the software models to read.
+    #: rung -> (use coherence carrier, ir override, flush-engine override).
     _RUNG_KNOBS = {
-        "primary": (True, None, None, None),
-        "retry": (True, None, None, None),
-        "coherence=off": (False, None, None, None),
-        "swmodel=legacy": (False, None, None, "legacy"),
-        "ir=legacy": (False, "legacy", None, "legacy"),
-        "engine=scalar": (False, "legacy", "scalar", "legacy"),
+        "primary": (True, None, None),
+        "retry": (True, None, None),
+        "coherence=off": (False, None, None),
+        "ir=legacy": (False, "legacy", None),
+        "engine=scalar": (False, "legacy", "scalar"),
     }
 
     def __init__(self, scene, backend="hw:het+qm", baseline="auto",
                  device="orin", seed=0, warm_crop_cache=False,
-                 result_cache=None, ir=None, coherence=None, swmodel=None,
+                 result_cache=None, ir="auto", coherence="auto",
                  strict=False, watchdog_ms=None):
         self.profile = (scene if isinstance(scene, SceneProfile)
                         else get_profile(scene))
@@ -329,34 +325,25 @@ class RenderSession:
         self.backend_spec = backend_spec(backend)
         self.device_name = device
         self.seed = int(seed)
-        # None stays None so the $REPRO_IR default remains best-effort.
-        self.ir = resolve_ir(ir) if ir is not None else None
-        # Same contract for the software-path model knob.
-        self.swmodel = resolve_swmodel(swmodel) if swmodel is not None \
-            else None
-        self.backend = resolve_backend(backend, device_name=device,
-                                       ir=self.ir, swmodel=self.swmodel)
+        self.ir = check_mode("ir", ir)
+        self.backend = resolve_backend(backend, device_name=device)
         if baseline == "auto":
             spec = self.backend_spec
             baseline = ("hw:baseline"
                         if spec.startswith("hw:") and spec != "hw:baseline"
                         else None)
         self.baseline_spec = backend_spec(baseline) if baseline else None
-        self.baseline = (resolve_backend(baseline, device_name=device,
-                                         ir=self.ir, swmodel=self.swmodel)
+        self.baseline = (resolve_backend(baseline, device_name=device)
                          if baseline else None)
         self.warm_crop_cache = bool(warm_crop_cache)
         self.result_cache = result_cache
-        # None stays None so the $REPRO_COHERENCE default remains
-        # best-effort (resolved when the carrier is first built).
-        self.coherence = (resolve_coherence(coherence)
-                          if coherence is not None else None)
+        self.coherence = check_mode("coherence", coherence)
         self.strict = bool(strict)
         self.watchdog_ms = watchdog_ms
         self._coherence_carrier = None
         self._cloud = None
-        # Degraded-rung backends, built lazily from the registry specs
-        # (keyed by (role, ir, engine)) — possible exactly when the
+        # Scalar-engine backends of the deepest rung, built lazily from
+        # the registry specs (keyed by role) — possible exactly when the
         # session was handed spec strings, i.e. when ``_cacheable``.
         self._degraded = {}
         self._degraded_lock = threading.Lock()
@@ -379,9 +366,7 @@ class RenderSession:
     def _carrier(self):
         """The session's coherence carrier (built once, possibly inert)."""
         if self._coherence_carrier is None:
-            mode = (self.coherence if self.coherence is not None
-                    else resolve_coherence())
-            self._coherence_carrier = FrameCoherence(mode)
+            self._coherence_carrier = FrameCoherence(self.coherence)
         return self._coherence_carrier
 
     def _ladder_rungs(self):
@@ -392,31 +377,24 @@ class RenderSession:
 
     def _rung_backends(self, rung):
         """``(backend, baseline, use_carrier, ir)`` for one ladder rung."""
-        use_carrier, ir, engine, rung_swmodel = self._RUNG_KNOBS[rung]
-        if ir is None and engine is None and rung_swmodel is None:
-            return self.backend, self.baseline, use_carrier, self.ir
-        # Knobs a rung leaves unset fall back to the session's own
-        # settings, so a shallow rung doesn't silently degrade the rest.
-        eff_ir = ir if ir is not None else self.ir
-        key_tail = (ir, engine, rung_swmodel)
+        use_carrier, ir, engine = self._RUNG_KNOBS[rung]
+        # A rung that leaves ``ir`` unset keeps the session's own mode, so
+        # a shallow rung doesn't silently degrade the rest.
+        ir = ir or self.ir
+        if engine is None:
+            return self.backend, self.baseline, use_carrier, ir
         with self._degraded_lock:
-            backend = self._degraded.get(("backend",) + key_tail)
-            if backend is None:
-                backend = resolve_backend(self.backend_spec,
-                                          device_name=self.device_name,
-                                          ir=eff_ir, engine=engine,
-                                          swmodel=rung_swmodel)
-                self._degraded[("backend",) + key_tail] = backend
-            baseline = None
-            if self.baseline is not None:
-                baseline = self._degraded.get(("baseline",) + key_tail)
-                if baseline is None:
-                    baseline = resolve_backend(self.baseline_spec,
-                                               device_name=self.device_name,
-                                               ir=eff_ir, engine=engine,
-                                               swmodel=rung_swmodel)
-                    self._degraded[("baseline",) + key_tail] = baseline
-        return backend, baseline, use_carrier, eff_ir
+            if "backend" not in self._degraded:
+                self._degraded["backend"] = resolve_backend(
+                    self.backend_spec, device_name=self.device_name,
+                    engine=engine)
+                self._degraded["baseline"] = (
+                    resolve_backend(self.baseline_spec,
+                                    device_name=self.device_name,
+                                    engine=engine)
+                    if self.baseline is not None else None)
+        return (self._degraded["backend"], self._degraded["baseline"],
+                use_carrier, ir)
 
     def _render_frame_attempt(self, task, backend, baseline, carrier,
                               crop_cache, raster_jobs, keep_results, ir,
@@ -573,14 +551,10 @@ class RenderSession:
             if hit is not None:
                 return TrajectoryResult.from_dict(hit, from_cache=True)
 
+        # Parallel fan-out bypasses the carrier: frames are bit-identical
+        # either way, the carrier only changes how fast digestion
+        # converges.
         parallel = jobs is not None and jobs > 1
-        if parallel and self.coherence == "incremental":
-            raise ValueError(
-                "coherence='incremental' carries digestion state across "
-                "frames and requires serial execution (jobs=1)")
-        # Parallel fan-out silently bypasses the carrier under "auto":
-        # frames are bit-identical either way, the carrier only changes
-        # how fast digestion converges.
         carrier = None if parallel else self._carrier()
 
         if self.warm_crop_cache or caller_crop_cache:

@@ -6,10 +6,9 @@ the call graph, is declared **here** — one import-light module (stdlib
 only, importable from anywhere without cycles) that three consumers
 share:
 
-* the resolvers (:func:`repro.render.frameir.resolve_ir`,
-  :func:`repro.render.coherence.resolve_coherence`, the fault-plan
-  installer) read their defaults through :func:`env` instead of touching
-  ``os.environ`` directly;
+* the fault-plan installer and the serving layer read their defaults
+  through :func:`env` instead of touching ``os.environ`` directly, and
+  mode knobs validate through :func:`check_mode`;
 * the CLI builds its ``--ir`` / ``--coherence`` / ``--faults`` options
   from the same declarations, so help text and accepted values cannot
   drift from the code;
@@ -27,18 +26,17 @@ from __future__ import annotations
 
 import os
 
-#: Valid values of the ``ir`` digestion knob (FrameIR-backed digestion
-#: vs the retained sort-based oracle; see :mod:`repro.render.frameir`).
-IR_MODES = ("auto", "frameir", "legacy")
+#: Valid values of the rasteriser's ``ir`` knob: ``"auto"`` attaches a
+#: :class:`~repro.render.frameir.FrameIR` to the emitted stream,
+#: ``"legacy"`` emits a bare stream.  Every consumer below the rasteriser
+#: (digestion, the CUDA warp and multipass models) takes its FrameIR
+#: engine iff the stream carries an IR and its sort-based oracle
+#: otherwise, so this one choice selects the oracle path end to end.
+IR_MODES = ("auto", "legacy")
 
 #: Valid values of the cross-frame ``coherence`` knob (see
 #: :mod:`repro.render.coherence`).
-COHERENCE_MODES = ("auto", "incremental", "off")
-
-#: Valid values of the software-path ``swmodel`` knob (FrameIR-backed
-#: CUDA warp/multipass models vs the retained fragment-sort oracles; see
-#: :mod:`repro.swrender.warp_model` and :mod:`repro.swopt.multipass`).
-SWMODEL_MODES = ("auto", "frameir", "legacy")
+COHERENCE_MODES = ("auto", "off")
 
 #: Valid values of the pipeline flush ``engine`` knob (batched flush
 #: plan vs the scalar per-flush oracle; see
@@ -68,22 +66,6 @@ class EnvKnob:
 #: The registered environment knobs.  ``repro lint`` rule R4 rejects any
 #: ``os.environ`` read of a ``REPRO_*`` name missing from this table.
 ENV_KNOBS = {
-    "REPRO_IR": EnvKnob(
-        "REPRO_IR", default="auto", choices=IR_MODES,
-        help="process-wide default of the ir digestion knob "
-             "(bit-identical modes; 'legacy' is the sort-based oracle)",
-        consumed_by=("repro.render.frameir.resolve_ir",)),
-    "REPRO_COHERENCE": EnvKnob(
-        "REPRO_COHERENCE", default="auto", choices=COHERENCE_MODES,
-        help="process-wide default of the cross-frame coherence knob "
-             "(bit-identical modes; 'off' is the full-recompute oracle)",
-        consumed_by=("repro.render.coherence.resolve_coherence",)),
-    "REPRO_SWMODEL": EnvKnob(
-        "REPRO_SWMODEL", default="auto", choices=SWMODEL_MODES,
-        help="process-wide default of the software-path model knob "
-             "(bit-identical modes; 'legacy' is the fragment-sort oracle "
-             "for the CUDA warp/multipass models)",
-        consumed_by=("repro.swrender.warp_model.resolve_swmodel",)),
     "REPRO_FAULTS": EnvKnob(
         "REPRO_FAULTS", default="", choices=None,
         help="seeded fault-injection plan installed at import time "
@@ -127,7 +109,6 @@ def env(name):
 MODE_KNOBS = {
     "ir": {"modes": IR_MODES, "oracle": "legacy"},
     "coherence": {"modes": COHERENCE_MODES, "oracle": "off"},
-    "swmodel": {"modes": SWMODEL_MODES, "oracle": "legacy"},
     # ``engine`` names two knob families (the pipeline flush engine and
     # the LRU replay engine); the declared set is their union and both
     # oracles answer to mode "scalar".
@@ -135,10 +116,25 @@ MODE_KNOBS = {
                "oracle": "scalar"},
 }
 
+
+def check_mode(knob, value):
+    """Return ``value`` if it is a declared mode of ``knob``, else raise.
+
+    Mode knobs carry no process-wide default: a frame's code path depends
+    only on its own arguments, never on the environment a worker inherits.
+    """
+    modes = MODE_KNOBS[knob]["modes"]
+    if value not in modes:
+        raise ValueError(f"unknown {knob} mode {value!r}; choose from {modes}")
+    return value
+
+
 #: Declared vector/scalar oracle pairs for lint rule R5: each oracle
 #: ``symbol`` must exist in ``src`` and be exercised from ``tests/`` —
 #: either referenced by name, or reached through its knob's oracle mode
-#: (``knob=mode`` appearing in a test).
+#: (``knob=mode`` appearing in a test).  The FrameIR oracles are by-name
+#: pairs: which engine runs is decided by the stream (``stream.frameir is
+#: None``), not by a knob the consumer takes.
 ORACLES = (
     {"symbol": "rasterize_splats_scalar", "pair": "rasterize_splats",
      "knob": None, "mode": None},
@@ -147,9 +143,9 @@ ORACLES = (
     {"symbol": "_access_segmented_scalar", "pair": "replay_tag_stream",
      "knob": "engine", "mode": "scalar"},
     {"symbol": "from_stream", "pair": "from_ir",
-     "knob": "ir", "mode": "legacy"},
+     "knob": None, "mode": None},
     {"symbol": "_simulate_tile_warps_legacy", "pair": "_simulate_tile_warps_ir",
-     "knob": "swmodel", "mode": "legacy"},
+     "knob": None, "mode": None},
     {"symbol": "_multipass_workspace_legacy", "pair": "_multipass_workspace_ir",
-     "knob": "swmodel", "mode": "legacy"},
+     "knob": None, "mode": None},
 )

@@ -97,8 +97,7 @@ def _assert_identical(a, b):
             "be comparing different work")
 
 
-def _suite_rasterize(quick, scene=None, repeat=None, ir=None, coherence=None,
-                     swmodel=None):
+def _suite_rasterize(quick, scene=None, repeat=None):
     scene = scene or ("lego" if quick else "bench")
     repeat = repeat or (2 if quick else 5)
     _, camera, pre = _splats_for(scene)
@@ -107,7 +106,7 @@ def _suite_rasterize(quick, scene=None, repeat=None, ir=None, coherence=None,
     # Both paths get the *same* warmup so the speedup ratio compares
     # steady-state against steady-state even in quick mode.
     warmup = 0 if quick else 1
-    batched = time_callable(lambda: rasterize_splats(pre.splats, w, h, ir=ir),
+    batched = time_callable(lambda: rasterize_splats(pre.splats, w, h),
                             warmup=warmup, repeat=repeat,
                             name="rasterize/batched")
     scalar = time_callable(lambda: rasterize_splats_scalar(pre.splats, w, h),
@@ -132,8 +131,7 @@ def _suite_rasterize(quick, scene=None, repeat=None, ir=None, coherence=None,
     ]
 
 
-def _suite_reference(quick, scene=None, repeat=None, ir=None, coherence=None,
-                     swmodel=None):
+def _suite_reference(quick, scene=None, repeat=None):
     from repro.render.reference import render_reference
 
     scene = scene or ("lego" if quick else "train")
@@ -165,8 +163,7 @@ def _assert_draws_identical(a, b):
             "would be comparing different work")
 
 
-def _suite_hw(quick, scene=None, repeat=None, ir=None, coherence=None,
-              swmodel=None):
+def _suite_hw(quick, scene=None, repeat=None):
     from repro.core.vrpipe import variant_config
     from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
 
@@ -175,13 +172,13 @@ def _suite_hw(quick, scene=None, repeat=None, ir=None, coherence=None,
     variants = ("baseline", "het+qm") if quick else ("baseline", "qm",
                                                      "het", "het+qm")
     _, camera, pre = _splats_for(scene)
-    stream = rasterize_splats(pre.splats, camera.width, camera.height, ir=ir)
+    stream = rasterize_splats(pre.splats, camera.width, camera.height)
     n = len(stream)
 
     results = []
     cfg_full = variant_config("het+qm")
     digest = time_callable(
-        lambda: DrawWorkload.from_stream(stream, cfg_full, ir=ir),
+        lambda: DrawWorkload.from_stream(stream, cfg_full),
         warmup=0 if quick else 1, repeat=repeat,
         name="hw/digest")
     results.append(BenchResult(digest, scene, {
@@ -232,8 +229,7 @@ def _stage_breakdown(session, n_views):
             for name, ms in sorted(result.stage_ms.items())}
 
 
-def _suite_trajectory(quick, scene=None, repeat=None, ir=None,
-                      coherence=None, swmodel=None):
+def _suite_trajectory(quick, scene=None, repeat=None):
     """End-to-end multi-frame trajectories, per engine endpoint.
 
     The headline suite of the frame engines: each benchmark renders a
@@ -242,19 +238,17 @@ def _suite_trajectory(quick, scene=None, repeat=None, ir=None,
     rows (serial by contract) for the cache-carrying endpoints.  Rows
     report frames/s and a wall-clock per-stage breakdown, so
     ``BENCH_trajectory.json`` doubles as the repo's hotspot map; the
-    ``stage_render:digest`` column measures whichever digestion engine
-    ``ir`` selects (the FrameIR path by default) under the cross-frame
-    ``coherence`` mode (the ``$REPRO_COHERENCE`` default when ``None``).
-    The session — and with it the coherence carrier — persists across the
-    warmup and every measured repeat, matching the production serving
-    loop where a trajectory revisits viewpoints against warm state.
+    ``stage_render:digest`` column measures the FrameIR digestion engine
+    with the cross-frame coherence carrier on.  The session — and with it
+    the carrier — persists across the warmup and every measured repeat,
+    matching the production serving loop where a trajectory revisits
+    viewpoints against warm state.
 
-    The software path rides along as ``cuda`` / ``cuda+et`` rows under
-    the ``swmodel`` engine knob: their ``cold`` rows pin the coherence
-    carrier *off* (every frame digests from scratch — the software
-    models' worst case), their ``warm`` rows pin it to ``incremental``
-    so cross-frame reuse of the rasterise/FrameIR/digest products shows
-    up as a separate measurement.
+    The software path rides along as ``cuda`` / ``cuda+et`` rows: their
+    ``cold`` rows pin the coherence carrier *off* (every frame digests
+    from scratch — the software models' worst case), their ``warm`` rows
+    turn it on so cross-frame reuse of the rasterise/FrameIR/digest
+    products shows up as a separate measurement.
 
     Quick mode trades the variant sweep for *scenario* coverage: the
     ``lego`` orbit plus the sparse ``aerial`` and dense ``garden``
@@ -282,9 +276,7 @@ def _suite_trajectory(quick, scene=None, repeat=None, ir=None,
         for variant, warm in ([(v, False) for v in cold_variants]
                               + [(v, True) for v in warm_variants]):
             session = RenderSession(scene_name, backend=f"hw:{variant}",
-                                    baseline=None, warm_crop_cache=warm,
-                                    ir=ir, coherence=coherence,
-                                    swmodel=swmodel)
+                                    baseline=None, warm_crop_cache=warm)
             mode = "warm" if warm else "cold"
             timing = time_callable(
                 lambda s=session: s.run(n_views=n_views),
@@ -298,10 +290,9 @@ def _suite_trajectory(quick, scene=None, repeat=None, ir=None,
             metrics.update(_stage_breakdown(session, n_views))
             results.append(BenchResult(timing, scene_name, metrics))
         for spec in cuda_specs:
-            for mode, coh in (("cold", "off"), ("warm", "incremental")):
+            for mode, coh in (("cold", "off"), ("warm", "auto")):
                 session = RenderSession(scene_name, backend=spec,
-                                        baseline=None, ir=ir, coherence=coh,
-                                        swmodel=swmodel)
+                                        baseline=None, coherence=coh)
                 timing = time_callable(
                     lambda s=session: s.run(n_views=n_views),
                     warmup=0 if quick else 1, repeat=repeat,
@@ -333,8 +324,7 @@ _SERVICE_KPI_KEYS = (
     "latency_p95_ms", "latency_p99_ms")
 
 
-def _suite_service(quick, scene=None, repeat=None, ir=None, coherence=None,
-                   swmodel=None):
+def _suite_service(quick, scene=None, repeat=None):
     """The serving layer under synthetic load, fault-free and under chaos.
 
     Each row drives a fresh :class:`~repro.serve.service.RenderService`
@@ -342,9 +332,7 @@ def _suite_service(quick, scene=None, repeat=None, ir=None, coherence=None,
     seeded closed-loop load generator: ``clean`` with no fault plan,
     ``chaos`` under :data:`SERVICE_CHAOS_PLAN` (all seven injection
     points armed).  The timing row is the whole run's wall clock; the
-    serving KPIs ride along as metrics.  ``ir``/``coherence`` are
-    accepted for registry uniformity and ignored — the service owns its
-    sessions' knobs (the breaker may downgrade them mid-run).
+    serving KPIs ride along as metrics.
 
     Full mode runs 8 concurrent clients (the acceptance bar for the
     zero-lost-requests invariant); quick mode 2.
@@ -393,8 +381,7 @@ def _suite_service(quick, scene=None, repeat=None, ir=None, coherence=None,
     return results
 
 
-#: Suite registry: name -> callable(quick, scene=None, repeat=None,
-#: ir=None, coherence=None, swmodel=None).
+#: Suite registry: name -> callable(quick, scene=None, repeat=None).
 SUITES = {
     "rasterize": _suite_rasterize,
     "reference": _suite_reference,
@@ -404,18 +391,13 @@ SUITES = {
 }
 
 
-def run_suite(name, quick=False, scene=None, repeat=None, ir=None,
-              coherence=None, swmodel=None):
+def run_suite(name, quick=False, scene=None, repeat=None):
     """Run the suite registered under ``name`` and return a :class:`SuiteRun`.
 
     ``scene`` and ``repeat`` override the suite defaults (``repeat`` must
-    be >= 1 when given); ``quick`` selects the CI-sized variant.  ``ir``
-    selects the digestion engine the timed paths run under (see
-    :mod:`repro.render.frameir`), ``coherence`` the cross-frame reuse
-    mode of session-based suites (see :mod:`repro.render.coherence`), and
-    ``swmodel`` the software-path model engine of the ``cuda`` rows (see
-    :mod:`repro.swrender.warp_model`; suites without the corresponding
-    state accept and ignore the knobs).
+    be >= 1 when given); ``quick`` selects the CI-sized variant.  Every
+    suite times the default fast paths; the oracles are pinned by the
+    test suite, not benchmarked here.
     """
     try:
         suite = SUITES[name]
@@ -424,6 +406,4 @@ def run_suite(name, quick=False, scene=None, repeat=None, ir=None,
             f"unknown suite {name!r}; available: {sorted(SUITES)}") from None
     if repeat is not None and repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
-    return SuiteRun(name, quick, suite(quick, scene=scene, repeat=repeat,
-                                       ir=ir, coherence=coherence,
-                                       swmodel=swmodel))
+    return SuiteRun(name, quick, suite(quick, scene=scene, repeat=repeat))

@@ -16,7 +16,8 @@ from repro.render.blending import (
     front_to_back_blend,
     premultiply,
 )
-from repro.render.frameir import IR_MODES, FrameIR, resolve_ir
+from repro.knobs import IR_MODES
+from repro.render.frameir import FrameIR
 from repro.render.splat_raster import (
     TileBinning,
     rasterize_splats,
@@ -40,7 +41,6 @@ __all__ = [
     "FrameIR",
     "IR_MODES",
     "QuadTable",
-    "resolve_ir",
     "RenderResult",
     "render_reference",
     "image_report",

@@ -47,12 +47,13 @@ Replays are pinned by ``tests/test_draw_replay.py``.
 
 The ``coherence`` knob
 ----------------------
-``"auto"`` and ``"incremental"`` enable the carrier (they differ only in
-strictness elsewhere: sessions running parallel frames silently drop the
-carrier under ``"auto"`` but refuse under ``"incremental"``), ``"off"``
-disables it entirely.  The process default is ``"auto"``, overridable via
-the ``REPRO_COHERENCE`` environment variable; CI runs the golden flush
-and coherence suites under both ``incremental`` and ``off``.
+``"auto"`` (default) enables the carrier, ``"off"`` disables it
+entirely.  The carrier only ever serves streams carrying a FrameIR (the
+stream's producer made that choice, see :mod:`repro.render.frameir`);
+bare streams always take the full-recompute oracle.  Sessions running
+parallel frames bypass the carrier — frames are bit-identical either
+way.  The coherence and draw-replay suites pin every serving path
+against the ``"off"`` oracle.
 """
 
 from __future__ import annotations
@@ -62,20 +63,10 @@ from time import perf_counter
 
 import numpy as np
 
-from repro import faults, knobs
-from repro.knobs import COHERENCE_MODES  # re-exported; declared centrally
+from repro import faults
+from repro.knobs import check_mode
 from repro.render.fragstream import arrival_chain_sliced
 from repro.utils.arrays import segment_boundaries
-
-
-def resolve_coherence(mode=None):
-    """Normalise a ``coherence`` knob value (default ``$REPRO_COHERENCE``)."""
-    if mode is None:
-        mode = knobs.env("REPRO_COHERENCE")
-    if mode not in COHERENCE_MODES:
-        raise ValueError(
-            f"unknown coherence mode {mode!r}; choose from {COHERENCE_MODES}")
-    return mode
 
 
 def _ragged_expand(base, lens):
@@ -205,8 +196,8 @@ class FrameCoherence:
         "pixel_ranks_sorted", "pixel_ranks",
     )
 
-    def __init__(self, mode=None, max_states=8):
-        self.mode = resolve_coherence(mode)
+    def __init__(self, mode="auto", max_states=8):
+        self.mode = check_mode("coherence", mode)
         self.max_states = int(max_states)
         #: Library of digested frames keyed by content hash, LRU-bounded.
         #: Trajectory serving loops over a fixed set of viewpoints, so a
@@ -304,7 +295,7 @@ class FrameCoherence:
         if self._prev is not None:
             # The previous frame is done: keep only what a hit reads.
             self._prev.seal()
-        if stream.frameir is None or not stream._use_ir_digest():
+        if stream.frameir is None:
             return
         t0 = perf_counter()
         # Classification runs *before* the backend's render call, whose

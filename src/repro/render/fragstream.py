@@ -22,7 +22,6 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.render.frameir import resolve_ir
 from repro.utils.arrays import (
     segment_boundaries,
     segmented_cumsum,
@@ -109,18 +108,15 @@ class FragmentStream:
         reuse the binning instead of re-deriving it.
     frameir:
         Optional :class:`~repro.render.frameir.FrameIR` carrying the
-        rasteriser's row-interval structure; when present (and the ``ir``
-        mode allows it) the quad table and (prim, tile) group ranges are
-        derived from it instead of re-sorted from the fragments —
-        bit-identically.
-    ir:
-        Default digestion mode for this stream (``"auto"`` / ``"frameir"``
-        / ``"legacy"``, see :mod:`repro.render.frameir`); ``None`` follows
-        the process default.
+        rasteriser's row-interval structure.  Its presence is the one
+        switch between digestion engines: with it, the pixel grouping,
+        arrival chain, quad table and (prim, tile) group ranges derive
+        from the IR; without it, every consumer takes the retained
+        sort-based oracle — bit-identically either way.
     """
 
     def __init__(self, prim_ids, x, y, alphas, prim_colors, width, height,
-                 binning=None, validate=True, frameir=None, ir=None):
+                 binning=None, validate=True, frameir=None):
         self.prim_ids = np.asarray(prim_ids, dtype=np.int32)
         self.x = np.asarray(x, dtype=np.int32)
         self.y = np.asarray(y, dtype=np.int32)
@@ -145,7 +141,6 @@ class FragmentStream:
                     "fragment coordinates fall outside the framebuffer")
         self.binning = binning
         self.frameir = frameir
-        self.ir = ir
         self._coherence = None
         #: Wall-clock of the named digestion substages (ms), accumulated
         #: as the lazy caches materialise; the hardware renderer folds
@@ -215,10 +210,6 @@ class FragmentStream:
             self._cache["unpruned"] = self.alphas >= PRUNE_EPS
         return self._cache["unpruned"]
 
-    def _use_ir_digest(self):
-        """Whether the sorted-domain caches may derive from the FrameIR."""
-        return self.frameir is not None and resolve_ir(self.ir) != "legacy"
-
     def _radix_pixel_keys(self):
         """Pixel sort keys in the narrowest unsigned dtype that holds them.
 
@@ -256,7 +247,7 @@ class FragmentStream:
             return
         t0 = perf_counter()
         n = len(self)
-        if self._use_ir_digest() and n:
+        if self.frameir is not None and n:
             # The rasteriser's emission order has non-decreasing prim ids,
             # so a single stable sort on the pixel key is the (pixel, draw
             # order) lexsort.
@@ -301,7 +292,7 @@ class FragmentStream:
         """Indices lexsorting fragments by (pixel, draw order)."""
         if "pixel_order" not in self._cache:
             prim_ids = self.prim_ids
-            if self._use_ir_digest() and len(self):
+            if self.frameir is not None and len(self):
                 self._ensure_pixel_grouping()
                 return self._cache["pixel_order"]
             if prim_ids.shape[0] == 0 or (prim_ids[1:] >= prim_ids[:-1]).all():
@@ -383,7 +374,7 @@ class FragmentStream:
         # separately, one fewer full-width gather.
         alpha_eff = np.where(self.unpruned, self.alphas,
                              np.float32(0.0))[order]
-        if self._use_ir_digest():
+        if self.frameir is not None:
             # Per-scanline log-space scans: ~35% cheaper than the global
             # segmented cumsum (no offset-subtraction pass, unconditional
             # inert clamp) and deterministic per scanline content, which
@@ -663,36 +654,22 @@ class FragmentStream:
     # Quad / tile structure
     # ------------------------------------------------------------------
 
-    def quad_table(self, threshold=DEFAULT_TERMINATION_ALPHA, lag=0, ir=None):
+    def quad_table(self, threshold=DEFAULT_TERMINATION_ALPHA, lag=0):
         """Aggregate fragments into 2x2 quads (see :class:`QuadTable`).
 
         ``lag`` selects the HET in-flight window baked into the table's
-        termination masks (see :meth:`unterminated_on_arrival`).  ``ir``
-        overrides the stream's digestion mode (see :mod:`repro.render.
-        frameir`): with ``"auto"``/``"frameir"`` and a stream carrying a
-        :class:`~repro.render.frameir.FrameIR`, the table materialises
-        from the IR's precomputed quad grouping; ``"legacy"`` forces the
-        original sort-based construction.  Both paths are bit-identical
-        (fuzz-pinned by ``tests/test_frameir.py``).
+        termination masks (see :meth:`unterminated_on_arrival`).  A
+        stream carrying a :class:`~repro.render.frameir.FrameIR`
+        materialises the table from the IR's precomputed quad grouping
+        (:meth:`QuadTable.from_ir`); a bare stream takes the original
+        sort-based construction (:meth:`QuadTable.from_stream`, the
+        oracle).  Both are bit-identical (fuzz-pinned by
+        ``tests/test_frameir.py``).
         """
-        explicit = ir if ir is not None else self.ir
-        mode = resolve_ir(explicit)
-        if mode == "frameir" and self.frameir is None:
-            # Strict only when the caller (or the stream's producer) asked
-            # for the IR by name; the ``$REPRO_IR=frameir`` process
-            # default stays best-effort so hand-built and scalar-emitted
-            # streams keep digesting through the legacy path.
-            if explicit is not None:
-                raise ValueError(
-                    "ir='frameir' requires a stream carrying a FrameIR "
-                    "(emitted by rasterize_splats); this stream has none")
-            mode = "auto"
-        use_ir = mode != "legacy" and self.frameir is not None
-        key = ("quad_table", round(float(threshold), 9), int(lag),
-               "frameir" if use_ir else "legacy")
+        key = ("quad_table", round(float(threshold), 9), int(lag))
         if key not in self._cache:
             t0 = perf_counter()
-            if use_ir:
+            if self.frameir is not None:
                 self._cache[key] = QuadTable.from_ir(self, self.frameir,
                                                      threshold, lag)
             else:

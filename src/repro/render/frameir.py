@@ -28,41 +28,29 @@ alive on the emitted stream and derives the shared groupings *from it*:
 
 Exactness is the contract: the IR-built quad table is **bit-identical** —
 same rows in the same order, same aggregate columns — to the legacy
-sort-based construction, which is retained behind ``ir="legacy"`` as the
-oracle and pinned by the fuzz tests in ``tests/test_frameir.py``.
+sort-based construction, which is retained as the oracle and pinned by
+the fuzz tests in ``tests/test_frameir.py``.
 
-The ``ir`` knob
----------------
-``"auto"``
-    Use the IR when the stream carries one (streams emitted by
-    :func:`~repro.render.splat_raster.rasterize_splats`), fall back to the
-    legacy path otherwise (hand-built streams, the scalar rasteriser).
-``"frameir"``
-    Require the IR; raise if the stream has none.
-``"legacy"``
-    Always use the original sort-based digestion (the oracle).
-
-The process-wide default is ``"auto"`` and can be overridden with the
-``REPRO_IR`` environment variable — CI runs the golden raster and golden
-flush suites under both ``REPRO_IR=frameir`` and ``REPRO_IR=legacy``.
+The stream decides
+------------------
+Whether a frame takes the IR engines or the oracles is decided once, at
+rasterisation: :func:`~repro.render.splat_raster.rasterize_splats` with
+``ir="auto"`` (the default) attaches a :class:`FrameIR` to the stream,
+``ir="legacy"`` emits a bare stream.  Every consumer below — digestion
+(:meth:`~repro.render.fragstream.FragmentStream.quad_table`, the pixel
+grouping and arrival chain), the coherence carrier, the CUDA warp model
+and the multipass model — branches only on ``stream.frameir is None``.
+Hand-built and scalar-emitted streams carry no IR and so always take the
+oracles.  The tier-1 suites parametrise the golden raster, flush and
+software-model tests over both rasteriser modes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import faults, knobs
-from repro.knobs import IR_MODES  # re-exported; declared centrally
+from repro import faults
 from repro.utils.arrays import popcount4, segment_boundaries
-
-
-def resolve_ir(ir=None):
-    """Normalise an ``ir`` knob value, defaulting to ``$REPRO_IR`` / auto."""
-    if ir is None:
-        ir = knobs.env("REPRO_IR")
-    if ir not in IR_MODES:
-        raise ValueError(f"unknown ir mode {ir!r}; choose from {IR_MODES}")
-    return ir
 
 
 class GroupIR:

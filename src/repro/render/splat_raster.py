@@ -37,8 +37,9 @@ import numpy as np
 
 from repro import faults
 from repro.gaussians.projection import ALPHA_EPS, ALPHA_MAX, Splat2D
+from repro.knobs import check_mode
 from repro.render.fragstream import TILE_SIZE, FragmentStream
-from repro.render.frameir import FrameIR, resolve_ir
+from repro.render.frameir import FrameIR
 from repro.utils.validation import check_positive
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -154,10 +155,10 @@ class TileBinning:
                    tiles_y=-(-int(height) // TILE_SIZE))
 
 
-def _empty_stream(splats, width, height, ir="auto"):
+def _empty_stream(splats, width, height, with_ir):
     empty = np.empty(0, dtype=np.int64)
     frameir = None
-    if ir != "legacy":
+    if with_ir:
         frameir = FrameIR(empty, empty, empty, empty, empty,
                           n_fragments=0, width=width, height=height)
     return FragmentStream(
@@ -170,7 +171,6 @@ def _empty_stream(splats, width, height, ir="auto"):
         height=height,
         binning=TileBinning.empty(len(splats), width, height),
         frameir=frameir,
-        ir=ir,
     )
 
 
@@ -190,7 +190,7 @@ def _clipped_bounds(splats, width, height):
 
 
 def rasterize_splats(splats, width, height, max_fragments=200_000_000,
-                     jobs=None, ir=None):
+                     jobs=None, ir="auto"):
     """Rasterise sorted splats into a :class:`FragmentStream` (batched).
 
     Parameters
@@ -214,13 +214,13 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
         arithmetic are unchanged, only the wall-clock schedule differs.
         ``None``/``1`` keeps the single-threaded loop.
     ir:
-        Frame-IR mode (see :mod:`repro.render.frameir`): ``"auto"`` /
-        ``"frameir"`` attach a :class:`~repro.render.frameir.FrameIR`
-        carrying the raster's row-interval structure for downstream
-        digestion; ``"legacy"`` emits a bare stream so every consumer
-        takes the original sort-based paths.  ``None`` follows the
-        process default (``$REPRO_IR`` or ``"auto"``).  The fragment
-        arrays are bit-identical in every mode.
+        ``"auto"`` (default) attaches a :class:`~repro.render.frameir.
+        FrameIR` carrying the raster's row-interval structure;
+        ``"legacy"`` emits a bare stream.  This is the one place the
+        FrameIR engines and the sort-based oracles are chosen: every
+        consumer below follows ``stream.frameir`` (see
+        :mod:`repro.render.frameir`).  The fragment arrays are
+        bit-identical in both modes.
 
     Returns
     -------
@@ -232,7 +232,7 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
         raise TypeError(f"splats must be a Splat2D, got {type(splats).__name__}")
     width = int(check_positive("width", width))
     height = int(check_positive("height", height))
-    ir = resolve_ir(ir)
+    with_ir = check_mode("ir", ir) == "auto"
     if faults.ENABLED:
         rule = faults.checkpoint("rasterize")
         if rule is not None:
@@ -243,7 +243,7 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
 
     sid, x0, y0, x1, y1 = _clipped_bounds(splats, width, height)
     if sid.size == 0:
-        return _empty_stream(splats, width, height, ir=ir)
+        return _empty_stream(splats, width, height, with_ir)
 
     binning = TileBinning(
         len(splats), sid,
@@ -258,7 +258,7 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
             f"fragment stream exceeds max_fragments={max_fragments}; "
             "reduce scene size or resolution")
     if total == 0:
-        stream = _empty_stream(splats, width, height, ir=ir)
+        stream = _empty_stream(splats, width, height, with_ir)
         stream.binning = binning
         return stream
 
@@ -268,7 +268,7 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
         splats, sid, rs, yrow, dy, xlo, xhi, lengths, total,
         live=live, fstarts=fstarts, jobs=jobs)
     frameir = None
-    if ir != "legacy":
+    if with_ir:
         # The IR carries the raster's own row-interval structure (one
         # covered pixel interval per live scanline, contiguous fragment
         # runs) — the source every IR-derived grouping is built from.
@@ -282,7 +282,7 @@ def rasterize_splats(splats, width, height, max_fragments=200_000_000,
     return FragmentStream(
         prim_ids=prim_ids, x=x, y=y, alphas=alphas,
         prim_colors=splats.colors, width=width, height=height,
-        binning=binning, validate=False, frameir=frameir, ir=ir)
+        binning=binning, validate=False, frameir=frameir)
 
 
 def _row_intervals(splats, sid, x0, y0, x1, y1):
@@ -550,7 +550,7 @@ def rasterize_splats_scalar(splats, width, height, max_fragments=200_000_000):
     if total == 0:
         # The scalar loop never carries a FrameIR (it is the golden
         # oracle); keep that true for empty scenes as well.
-        return _empty_stream(splats, width, height, ir="legacy")
+        return _empty_stream(splats, width, height, with_ir=False)
     return FragmentStream(
         prim_ids=np.concatenate(prim_chunks),
         x=np.concatenate(x_chunks),

@@ -363,8 +363,8 @@ class RenderService:
         Breaker-degraded admissions run the retained bit-exact oracle
         knobs directly — same bytes, fewer fast-path failure modes.
         """
-        ir = "legacy" if degraded else None
-        coherence = "off" if degraded else None
+        ir = "legacy" if degraded else "auto"
+        coherence = "off" if degraded else "auto"
         return RenderSession(
             request.scene, backend=request.backend,
             baseline=request.baseline, device=self.device,

@@ -15,8 +15,9 @@ streaming-bottleneck evaluation per pass (bin dynamics are skipped; they do
 not change at pass granularity, and the full simulator confirms the N=1
 case).
 
-Two engines, selected by the ``swmodel`` knob (shared with the warp model,
-see :func:`repro.swrender.warp_model.resolve_swmodel`):
+Two engines, selected by the stream exactly like the warp model's (see
+:mod:`repro.swrender.warp_model`) — the IR engine when it carries a
+FrameIR, the oracle when it does not:
 
 * :func:`_multipass_workspace_ir` reads the quad/batch structure off the
   stream's :class:`~repro.render.frameir.FrameIR` quad table and
@@ -183,24 +184,14 @@ def _multipass_workspace_legacy(stream):
     )
 
 
-def _multipass_workspace(stream, swmodel):
-    from repro.swrender.warp_model import resolve_swmodel
-
-    explicit = swmodel is not None
-    swmodel = resolve_swmodel(swmodel)
-    if swmodel == "frameir" and stream.frameir is None and explicit:
-        # Same contract as the warp model (and the ir knob): the env
-        # default stays best-effort, an explicit request is strict.
-        raise ValueError(
-            "swmodel='frameir' requires a stream carrying a FrameIR; "
-            "rasterize with ir='auto'/'frameir' or use swmodel='auto'")
-    if swmodel != "legacy" and stream.frameir is not None:
+def _multipass_workspace(stream):
+    if stream.frameir is not None:
         return _multipass_workspace_ir(stream)
     return _multipass_workspace_legacy(stream)
 
 
 def run_multipass(stream, n_passes, config=None,
-                  threshold=None, swmodel=None, _workspace=None):
+                  threshold=None, _workspace=None):
     """Simulate Algorithm 1 with ``n_passes`` over a fragment stream."""
     if not isinstance(stream, FragmentStream):
         raise TypeError(
@@ -214,7 +205,7 @@ def run_multipass(stream, n_passes, config=None,
     if n_prims == 0 or len(stream) == 0:
         return MultipassResult(n_passes, [], [], 0.0, 0)
     ws = _workspace if _workspace is not None \
-        else _multipass_workspace(stream, swmodel)
+        else _multipass_workspace(stream)
 
     # Batch of each primitive: N equal slices of the depth order.  The
     # split is non-decreasing in primitive id, and fragments within a
@@ -277,7 +268,7 @@ def run_multipass(stream, n_passes, config=None,
         fragments_blended=int(blended.sum()))
 
 
-def multipass_sweep(stream, pass_counts, config=None, swmodel=None):
+def multipass_sweep(stream, pass_counts, config=None):
     """Speedup over the single-pass baseline for each N (Figure 11).
 
     The sort/quad workspace is built once and shared across every pass
@@ -286,12 +277,10 @@ def multipass_sweep(stream, pass_counts, config=None, swmodel=None):
     config = config or GPUConfig()
     ws = None
     if stream.prim_colors.shape[0] and len(stream):
-        ws = _multipass_workspace(stream, swmodel)
-    baseline = run_multipass(stream, 1, config, swmodel=swmodel,
-                             _workspace=ws)
+        ws = _multipass_workspace(stream)
+    baseline = run_multipass(stream, 1, config, _workspace=ws)
     sweep = {}
     for n in pass_counts:
-        result = run_multipass(stream, int(n), config, swmodel=swmodel,
-                               _workspace=ws)
+        result = run_multipass(stream, int(n), config, _workspace=ws)
         sweep[int(n)] = result.speedup_over(baseline.total_cycles)
     return sweep

@@ -22,10 +22,9 @@ from repro.gaussians.camera import Camera
 from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.preprocess import preprocess
 from repro.render.fragstream import DEFAULT_TERMINATION_ALPHA
-from repro.render.frameir import resolve_ir
 from repro.render.splat_raster import rasterize_splats
 from repro.swrender.tiling import TileAssignment, assign_tiles
-from repro.swrender.warp_model import resolve_swmodel, simulate_tile_warps
+from repro.swrender.warp_model import simulate_tile_warps
 
 
 @dataclass
@@ -147,21 +146,18 @@ class CudaRenderer:
     early_term:
         Whether the rasterise kernel applies early termination (the paper's
         end-to-end comparison enables it for the software path).
-    ir / swmodel:
-        Digestion and software-model engine knobs, validated eagerly;
-        ``None`` stays ``None`` so the ``$REPRO_IR`` / ``$REPRO_SWMODEL``
-        process defaults remain best-effort at render time.
+
+    The warp model follows the stream: FrameIR-carrying streams run the
+    IR engine, bare streams the fragment-sort oracle (see
+    :mod:`repro.swrender.warp_model`).
     """
 
     def __init__(self, kernel_model=None, frequency_hz=612e6, early_term=True,
-                 threshold=DEFAULT_TERMINATION_ALPHA, ir=None, swmodel=None):
+                 threshold=DEFAULT_TERMINATION_ALPHA):
         self.kernel_model = kernel_model or SWKernelModel()
         self.frequency_hz = float(frequency_hz)
         self.early_term = bool(early_term)
         self.threshold = float(threshold)
-        self.ir = resolve_ir(ir) if ir is not None else None
-        self.swmodel = resolve_swmodel(swmodel) if swmodel is not None \
-            else None
 
     def render(self, cloud, camera):
         """Render a cloud and return a :class:`CudaRenderResult`."""
@@ -172,8 +168,7 @@ class CudaRenderer:
             raise TypeError(
                 f"camera must be a Camera, got {type(camera).__name__}")
         pre = preprocess(cloud, camera)
-        stream = rasterize_splats(pre.splats, camera.width, camera.height,
-                                  ir=self.ir)
+        stream = rasterize_splats(pre.splats, camera.width, camera.height)
         return self.render_stream(stream, pre)
 
     def render_stream(self, stream, pre=None):
@@ -195,8 +190,7 @@ class CudaRenderer:
         tiling = _tiling_for(stream, pre)
         n_gaussians = stream.prim_colors.shape[0]
         t1 = time.perf_counter()
-        warp_exec = simulate_tile_warps(stream, self.threshold,
-                                        swmodel=self.swmodel)
+        warp_exec = simulate_tile_warps(stream, self.threshold)
         t2 = time.perf_counter()
 
         warp_rounds = (warp_exec.rounds_et if self.early_term

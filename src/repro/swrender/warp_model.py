@@ -13,8 +13,10 @@ stream:
 * the fraction of executed thread-slots that perform blending
   (Figure 9's "threads performing blending in a warp").
 
-Two engines, selected by the ``swmodel`` knob (``"auto"`` / ``"frameir"``
-/ ``"legacy"``, process default ``$REPRO_SWMODEL``):
+Two engines, selected by the stream itself — the IR engine when it
+carries a :class:`~repro.render.frameir.FrameIR`, the oracle when it does
+not (``rasterize_splats(..., ir="legacy")``, hand-built and scalar-emitted
+streams):
 
 * ``_simulate_tile_warps_ir`` reads the (prim, tile) round structure
   straight off the stream's :class:`~repro.render.frameir.FrameIR` group
@@ -33,8 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import knobs
-from repro.knobs import SWMODEL_MODES
 from repro.render.fragstream import (
     DEFAULT_TERMINATION_ALPHA,
     FragmentStream,
@@ -44,17 +44,6 @@ TILE_SIZE = 16
 WARP_ROWS = 2           # a warp covers a 16x2-pixel strip of the tile
 WARPS_PER_TILE = TILE_SIZE // WARP_ROWS
 WARP_THREADS = 32
-
-
-def resolve_swmodel(swmodel=None):
-    """Normalise a ``swmodel`` knob value, defaulting to ``$REPRO_SWMODEL``
-    / auto."""
-    if swmodel is None:
-        swmodel = knobs.env("REPRO_SWMODEL")
-    if swmodel not in SWMODEL_MODES:
-        raise ValueError(
-            f"unknown swmodel mode {swmodel!r}; choose from {SWMODEL_MODES}")
-    return swmodel
 
 
 class WarpExecution:
@@ -219,33 +208,22 @@ def _simulate_tile_warps_legacy(stream, threshold):
                               width, height, tiles_x, tiles_y)
 
 
-def simulate_tile_warps(stream, threshold=DEFAULT_TERMINATION_ALPHA,
-                        swmodel=None):
+def simulate_tile_warps(stream, threshold=DEFAULT_TERMINATION_ALPHA):
     """Run the lockstep model over a fragment stream.
 
     The stream's primitive order is the global depth order, which is also
     each tile's processing order (the CUDA renderer sorts by (tile | depth)
-    keys, yielding per-tile depth-sorted lists).  ``swmodel`` selects the
-    engine: ``"auto"`` reads the FrameIR whenever the stream carries one,
-    ``"legacy"`` forces the fragment-sort oracle, ``"frameir"`` requires
-    the IR.  Both engines are bit-exact.
+    keys, yielding per-tile depth-sorted lists).  The IR engine runs
+    when the stream carries a FrameIR, the fragment-sort oracle when it
+    does not; both are bit-exact.
     """
     if not isinstance(stream, FragmentStream):
         raise TypeError(
             f"stream must be a FragmentStream, got {type(stream).__name__}")
-    explicit = swmodel is not None
-    swmodel = resolve_swmodel(swmodel)
-    if swmodel == "frameir" and stream.frameir is None and explicit:
-        # A $REPRO_SWMODEL=frameir *process default* stays best-effort
-        # (bare streams fall back to the oracle, same contract as the ir
-        # knob); only a by-name request hardens into a requirement.
-        raise ValueError(
-            "swmodel='frameir' requires a stream carrying a FrameIR; "
-            "rasterize with ir='auto'/'frameir' or use swmodel='auto'")
     if len(stream) == 0:
         return WarpExecution(0, 0, 0, 0)
 
-    if swmodel != "legacy" and stream.frameir is not None:
+    if stream.frameir is not None:
         rounds_no_et, rounds_et = _simulate_tile_warps_ir(stream, threshold)
     else:
         rounds_no_et, rounds_et = _simulate_tile_warps_legacy(

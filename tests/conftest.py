@@ -7,6 +7,7 @@ import pytest
 
 from repro.gaussians import Camera, synthetic
 from repro.gaussians.preprocess import preprocess
+from repro.knobs import IR_MODES
 from repro.render.splat_raster import rasterize_splats
 
 
@@ -65,3 +66,25 @@ def deep_stream(deep_cloud, deep_camera):
     pre = preprocess(deep_cloud, deep_camera)
     return rasterize_splats(pre.splats, deep_camera.width,
                             deep_camera.height)
+
+
+@pytest.fixture(scope="session", params=IR_MODES)
+def ir(request):
+    """Rasteriser mode: ``"auto"`` streams carry a FrameIR and run every
+    consumer's IR engine, ``"legacy"`` streams are bare and run the
+    sort-based oracles."""
+    return request.param
+
+
+@pytest.fixture(scope="session")
+def ir_small_stream(small_pre, small_camera, ir):
+    """``small_stream`` rasterised under each :func:`ir` mode."""
+    return rasterize_splats(small_pre.splats, small_camera.width,
+                            small_camera.height, ir=ir)
+
+
+@pytest.fixture(scope="session")
+def ir_deep_stream(deep_pre, deep_camera, ir):
+    """``deep_stream`` rasterised under each :func:`ir` mode."""
+    return rasterize_splats(deep_pre.splats, deep_camera.width,
+                            deep_camera.height, ir=ir)

@@ -10,9 +10,8 @@ random coherent orbit pairs and the degenerate regimes (empty frames,
 full-occlusion revisit, the max_fragments clamp boundary, HET
 termination flips between frames, warm-CROP handoff).
 
-CI runs this module under both ``REPRO_COHERENCE=incremental`` and
-``=off``; tests therefore select their mode explicitly instead of
-relying on the process default.
+Every test names its coherence mode explicitly (``"auto"`` carrier vs
+the ``"off"`` oracle); there is no process-wide default to inherit.
 """
 
 from __future__ import annotations
@@ -25,11 +24,8 @@ from repro.engine.session import RenderSession
 from repro.gaussians import Camera
 from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
-from repro.render.coherence import (
-    COHERENCE_MODES,
-    FrameCoherence,
-    resolve_coherence,
-)
+from repro.knobs import COHERENCE_MODES, check_mode
+from repro.render.coherence import FrameCoherence
 from repro.render.splat_raster import rasterize_splats
 from repro.workloads.viewpoints import scene_viewpoints
 
@@ -81,31 +77,29 @@ def _assert_draws_identical(sa, sb, config):
 
 class TestKnob:
     def test_modes_enumerated(self):
-        assert resolve_coherence("auto") == "auto"
-        assert resolve_coherence("incremental") == "incremental"
-        assert resolve_coherence("off") == "off"
+        for mode in ("auto", "off"):
+            assert check_mode("coherence", mode) == mode
+            assert FrameCoherence(mode).mode == mode
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COHERENCE", raising=False)
-        assert resolve_coherence() == "auto"
-        monkeypatch.setenv("REPRO_COHERENCE", "incremental")
-        assert resolve_coherence() == "incremental"
+        """The default is ``"auto"`` whatever the environment holds: no
+        process-wide knob, so a worker inheriting a stale
+        ``REPRO_COHERENCE`` still runs the mode its arguments name."""
+        monkeypatch.setenv("REPRO_COHERENCE", "off")
+        assert FrameCoherence().mode == "auto"
+        assert RenderSession("lego", baseline=None).coherence == "auto"
 
-    def test_invalid_rejected(self, monkeypatch):
+    def test_invalid_rejected(self):
+        for mode in ("sometimes", "incremental", None):
+            with pytest.raises(ValueError, match="coherence"):
+                check_mode("coherence", mode)
+            with pytest.raises(ValueError, match="coherence"):
+                FrameCoherence(mode)
         with pytest.raises(ValueError, match="coherence"):
-            resolve_coherence("sometimes")
-        monkeypatch.setenv("REPRO_COHERENCE", "bogus")
-        with pytest.raises(ValueError, match="coherence"):
-            resolve_coherence()
+            RenderSession("lego", baseline=None, coherence="sometimes")
 
     def test_modes_tuple_is_contract(self):
-        assert tuple(COHERENCE_MODES) == ("auto", "incremental", "off")
-
-    def test_incremental_refuses_parallel_run(self):
-        session = RenderSession("lego", baseline=None,
-                                coherence="incremental")
-        with pytest.raises(ValueError, match="serial"):
-            session.run(n_views=2, jobs=2)
+        assert tuple(COHERENCE_MODES) == ("auto", "off")
 
 
 class TestServePaths:
@@ -115,7 +109,7 @@ class TestServePaths:
         return rasterize_splats(pre.splats, camera.width, camera.height)
 
     def test_full_hit_bit_identical(self, small_pre, small_camera):
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         s1 = self._fresh(small_pre, small_camera)
         car.begin_frame(s1)
         _digest(s1)
@@ -127,7 +121,7 @@ class TestServePaths:
         _assert_bitwise(oracle, got)
 
     def test_partial_hit_bit_identical(self, deep_pre, deep_camera):
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         s1 = self._fresh(deep_pre, deep_camera)
         car.begin_frame(s1)
         _digest(s1)
@@ -148,7 +142,7 @@ class TestServePaths:
         _assert_bitwise(_digest(s_ref), got)
 
     def test_fallback_bit_identical(self, deep_pre, deep_camera):
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         s1 = self._fresh(deep_pre, deep_camera)
         car.begin_frame(s1)
         _digest(s1)
@@ -195,12 +189,11 @@ class TestRadixGroupingPin:
                             deep_camera):
         config = variant_config("het+qm")
         for pre, cam in ((small_pre, small_camera), (deep_pre, deep_camera)):
-            s_ir = rasterize_splats(pre.splats, cam.width, cam.height,
-                                    ir="frameir")
+            s_ir = rasterize_splats(pre.splats, cam.width, cam.height)
             s_legacy = rasterize_splats(pre.splats, cam.width, cam.height,
                                         ir="legacy")
-            assert s_ir._use_ir_digest()
-            assert not s_legacy._use_ir_digest()
+            assert s_ir.frameir is not None
+            assert s_legacy.frameir is None
             d_ir, d_legacy = _digest(s_ir), _digest(s_legacy)
             _assert_bitwise({k: d_legacy[k] for k in self.ORDER_KEYS},
                             {k: d_ir[k] for k in self.ORDER_KEYS})
@@ -222,7 +215,7 @@ class TestCoherentOrbitFuzz:
     def test_orbit_pairs(self, deep_cloud):
         rng = np.random.default_rng(0xC0)
         config = variant_config("het+qm")
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         for trial in range(5):
             angle = rng.uniform(0, 2 * np.pi)
             # Nearby viewpoints of one orbit step: highly (but not fully)
@@ -248,7 +241,7 @@ class TestCoherentOrbitFuzz:
         cams = [Camera.look_at(eye=(2.2 * np.sin(t), 0.1, -2.2 * np.cos(t)),
                                target=(0, 0, 0), width=96, height=96)
                 for t in (0.0, 0.4, 0.0)]
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         streams = []
         for cam in cams:
             pre = preprocess(deep_cloud, cam)
@@ -268,7 +261,7 @@ class TestDegenerateRegimes:
         # A camera facing away from the scene: zero visible fragments.
         away = Camera.look_at(eye=(0, 0, -3), target=(0, 0, -9),
                               width=64, height=64)
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         for _ in range(2):
             pre = preprocess(small_cloud, away)
             stream = rasterize_splats(pre.splats, away.width, away.height)
@@ -281,7 +274,7 @@ class TestDegenerateRegimes:
     def test_empty_then_full_then_empty(self, small_cloud, small_camera):
         away = Camera.look_at(eye=(0, 0, -3), target=(0, 0, -9),
                               width=96, height=96)
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         for cam in (away, small_camera, away):
             pre = preprocess(small_cloud, cam)
             stream = rasterize_splats(pre.splats, cam.width, cam.height)
@@ -293,7 +286,7 @@ class TestDegenerateRegimes:
     def test_full_occlusion_revisit(self, deep_pre, deep_camera):
         """Saturating layered content: termination sets survive reuse."""
         config = variant_config("het")
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         streams = []
         for _ in range(2):
             stream = rasterize_splats(deep_pre.splats, deep_camera.width,
@@ -321,7 +314,7 @@ class TestDegenerateRegimes:
             rasterize_splats(small_pre.splats, w, h, max_fragments=n - 1)
         # The carrier never saw the aborted frame; at the exact clamp
         # boundary the stream digests normally and still full-hits.
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         s1 = rasterize_splats(small_pre.splats, w, h, max_fragments=n)
         car.begin_frame(s1)
         _digest(s1)
@@ -339,7 +332,7 @@ class TestDegenerateRegimes:
         """Alphas flip pixels across the HET threshold frame-to-frame."""
         config = variant_config("het")
         w, h = deep_camera.width, deep_camera.height
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         scales = (np.float32(1.0), np.float32(0.6), np.float32(1.0))
         base = rasterize_splats(deep_pre.splats, w, h).alphas.copy()
         terminated = []
@@ -365,7 +358,7 @@ class TestStaleCacheGuard:
     def test_captured_and_served_arrays_read_only(self, small_pre,
                                                   small_camera):
         w, h = small_camera.width, small_camera.height
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         s1 = rasterize_splats(small_pre.splats, w, h)
         car.begin_frame(s1)
         _digest(s1)
@@ -383,7 +376,7 @@ class TestStaleCacheGuard:
         """Rebinding inputs after capture must not alter what later
         frames are served: the content hash keys the *digested* state."""
         w, h = small_camera.width, small_camera.height
-        car = FrameCoherence("incremental")
+        car = FrameCoherence("auto")
         s1 = rasterize_splats(small_pre.splats, w, h)
         car.begin_frame(s1)
         expected = {k: v.copy() for k, v in _digest(s1).items()}
@@ -399,30 +392,28 @@ class TestStaleCacheGuard:
 
 class TestWarmTrajectorySessions:
     def test_warm_crop_handoff_cycle_exact(self):
-        """Warm-CROP sessions under incremental vs off: identical stats."""
+        """Warm-CROP sessions under auto vs off: identical stats."""
         runs = {}
-        for mode in ("incremental", "off"):
+        for mode in ("auto", "off"):
             session = RenderSession("lego", backend="hw:het+qm",
                                     baseline=None, warm_crop_cache=True,
                                     coherence=mode)
             runs[mode] = session.run(n_views=2)
-        for inc, off in zip(runs["incremental"].records,
+        for inc, off in zip(runs["auto"].records,
                             runs["off"].records):
             assert inc.cycles == off.cycles
             assert inc.ms == off.ms
             assert inc.et_ratio == off.et_ratio
 
-    def test_interleaved_cache_and_coherence_hits(self, monkeypatch,
-                                                  tmp_path):
-        """Satellite: warm sessions under REPRO_IR=frameir, interleaving
-        disk-cache-hit runs with coherence-hit revisited viewpoints,
-        bit-identical to cold recompute."""
+    def test_interleaved_cache_and_coherence_hits(self, tmp_path):
+        """Warm sessions on FrameIR streams, interleaving disk-cache-hit
+        runs with coherence-hit revisited viewpoints, bit-identical to
+        cold recompute."""
         from repro.engine.cache import ResultCache
 
-        monkeypatch.setenv("REPRO_IR", "frameir")
         cache = ResultCache(tmp_path / "traj")
         warm = RenderSession("lego", backend="hw:het+qm", baseline=None,
-                             result_cache=cache, coherence="incremental")
+                             result_cache=cache, coherence="auto")
         cold = RenderSession("lego", backend="hw:het+qm", baseline=None,
                              coherence="off")
 

@@ -10,8 +10,8 @@ cache, with a main and a baseline config on one carrier, across a forced
 content-key collision, and on empty frames — and pin the memory side:
 sealed library states and streams freed without the cyclic collector.
 
-CI runs this module under both ``REPRO_COHERENCE=incremental`` and
-``=off``; tests therefore select their mode explicitly.
+Every test names its coherence mode explicitly (``"auto"`` carrier vs
+the ``"off"`` oracle); there is no process-wide default to inherit.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class TestReplayExactness:
     def test_replay_matches_fresh_and_scalar(self, variant, deep_pre,
                                              deep_camera, plan_builds):
         config = variant_config(variant)
-        carrier = FrameCoherence("incremental")
+        carrier = FrameCoherence("auto")
         fresh = _draw(_begin(carrier, _stream(deep_pre, deep_camera)),
                       config)
         assert len(plan_builds) == 1
@@ -108,7 +108,7 @@ class TestReplayExactness:
                                height=96)
                 for eye in ((0.0, 0.25, -2.0), (0.6, 0.2, -1.9))]
         pres = [preprocess(small_cloud, cam) for cam in cams]
-        carrier = FrameCoherence("incremental")
+        carrier = FrameCoherence("auto")
         warm = LRUCache(config.crop_cache_kb * 1024, config.cache_line_bytes)
         oracle = LRUCache(config.crop_cache_kb * 1024,
                           config.cache_line_bytes)
@@ -125,7 +125,7 @@ class TestReplayExactness:
                                                        deep_camera,
                                                        plan_builds):
         main, base = variant_config("het+qm"), variant_config("baseline")
-        carrier = FrameCoherence("incremental")
+        carrier = FrameCoherence("auto")
         first = _begin(carrier, _stream(deep_pre, deep_camera))
         fresh = [_draw(first, main), _draw(first, base)]
         second = _begin(carrier, _stream(deep_pre, deep_camera))
@@ -141,11 +141,11 @@ class TestReplayExactness:
         """A revisit loop with the auto baseline companion: every replayed
         frame record equals the coherence-off oracle's."""
         runs = {}
-        for mode in ("incremental", "off"):
+        for mode in ("auto", "off"):
             session = RenderSession("lego", warm_crop_cache=True,
                                     coherence=mode)
             runs[mode] = [session.run(n_views=2) for _ in range(2)]
-        for inc, off in zip(runs["incremental"], runs["off"]):
+        for inc, off in zip(runs["auto"], runs["off"]):
             assert inc.aggregates() == off.aggregates()
             for a, b in zip(inc.records, off.records):
                 assert (a.cycles, a.baseline_cycles, a.et_ratio) == (
@@ -159,7 +159,7 @@ class TestReplayExactness:
         cams = [Camera.look_at(eye=eye, target=(0, 0, 0), width=96,
                                height=96)
                 for eye in ((0.0, 0.25, -2.0), (0.3, 0.2, -2.0))]
-        carrier = FrameCoherence("incremental")
+        carrier = FrameCoherence("auto")
         for k in (0, 1, 0):
             pre = preprocess(small_cloud, cams[k])
             stream = _begin(carrier, _stream(pre, cams[k]))
@@ -174,7 +174,7 @@ class TestReplayExactness:
         """Same raster geometry with a band of perturbed alphas: a partial
         hit, whose draw must plan afresh (and match the oracle)."""
         config = variant_config("het+qm")
-        carrier = FrameCoherence("incremental")
+        carrier = FrameCoherence("auto")
         _draw(_begin(carrier, _stream(deep_pre, deep_camera)), config)
         perturbed = _stream(deep_pre, deep_camera)
         band = (perturbed.y >= 30) & (perturbed.y < 50)
@@ -195,7 +195,7 @@ class TestReplayExactness:
         away = Camera.look_at(eye=(0, 0, -3), target=(0, 0, -9),
                               width=64, height=64)
         pre = preprocess(small_cloud, away)
-        carrier = FrameCoherence("incremental")
+        carrier = FrameCoherence("auto")
         for variant in sorted(VARIANTS):
             config = variant_config(variant)
             for _ in range(2):
@@ -210,7 +210,7 @@ class TestReplayExactness:
     def test_scalar_engine_and_off_mode_never_consult_the_memo(
             self, deep_pre, deep_camera, plan_builds):
         config = variant_config("het+qm")
-        carrier = FrameCoherence("incremental")
+        carrier = FrameCoherence("auto")
         _draw(_begin(carrier, _stream(deep_pre, deep_camera)), config)
         stream = _begin(carrier, _stream(deep_pre, deep_camera))
         memo = carrier.draw_memo(stream)
@@ -226,7 +226,7 @@ class TestReplayExactness:
 class TestMemory:
     def test_library_states_are_sealed(self, deep_pre, deep_camera):
         config = variant_config("het+qm")
-        carrier = FrameCoherence("incremental")
+        carrier = FrameCoherence("auto")
         first = _begin(carrier, _stream(deep_pre, deep_camera))
         _draw(first, config)
         (state,) = carrier._states.values()
@@ -285,7 +285,7 @@ class TestMemory:
             self, stream_refs):
         """Streams hold their carrier weakly, so a carrier library is no
         reference cycle: dropping a coherent session frees it at once."""
-        session = RenderSession("lego", coherence="incremental")
+        session = RenderSession("lego", coherence="auto")
         _ = session.cloud
         gc.collect()
         gc.disable()

@@ -42,7 +42,7 @@ def clean_aggregates():
     return result.aggregates()
 
 
-def chaos_run(plan_text, *, jobs=1, coherence=None, **session_kw):
+def chaos_run(plan_text, *, jobs=1, coherence="auto", **session_kw):
     session = RenderSession(SCENE, coherence=coherence, **session_kw)
     with faults.active(FaultPlan.parse(plan_text)):
         return session.run(n_views=N_VIEWS, jobs=jobs)
@@ -134,34 +134,35 @@ class TestLadder:
 
     def test_persistent_digest_fault_heals_at_legacy_ir(self,
                                                         clean_aggregates):
-        result = chaos_run("digest:raise", coherence="incremental")
+        result = chaos_run("digest:raise", coherence="auto")
         self._assert_healed(result, clean_aggregates, "ir=legacy", "digest")
-        # Every frame climbed every shallower rung first (the hardware
-        # digestion still reads the FrameIR on the swmodel=legacy rung).
+        # Every frame climbed every shallower rung first: the FrameIR
+        # digestion only goes away once the stream is rasterised bare.
         rungs_climbed = RenderSession.LADDER.index("ir=legacy")
         assert len(result.incidents()) == rungs_climbed * N_VIEWS
 
-    def test_cuda_digest_fault_heals_at_legacy_swmodel(self):
-        """The software models heal one rung *earlier* than the hardware
-        path: swmodel=legacy sidesteps FrameIR digestion entirely while
-        the stream (and the session's ir knob) stay untouched — and the
-        healed trajectory matches the fault-free oracle bit for bit."""
+    def test_cuda_digest_fault_heals_at_legacy_ir(self):
+        """The software models heal at the same rung as the hardware
+        path: an ``ir=legacy`` stream carries no FrameIR, so the warp
+        model takes its fragment-sort oracle with the backend untouched —
+        and the healed trajectory matches the fault-free oracle bit for
+        bit."""
         kwargs = dict(backend="cuda+et", baseline=None)
         with faults.active(None):
             clean = RenderSession(SCENE, **kwargs).run(n_views=N_VIEWS)
-        session = RenderSession(SCENE, coherence="incremental", **kwargs)
+        session = RenderSession(SCENE, coherence="auto", **kwargs)
         with faults.active("digest:raise"):
             chaos = session.run(n_views=N_VIEWS)
         assert chaos.aggregates() == clean.aggregates()
         incidents = chaos.incidents()
         assert incidents
-        assert {inc["recovered_by"] for inc in incidents} == {"swmodel=legacy"}
+        assert {inc["recovered_by"] for inc in incidents} == {"ir=legacy"}
         assert {inc["point"] for inc in incidents} == {"digest"}
-        rungs_climbed = RenderSession.LADDER.index("swmodel=legacy")
+        rungs_climbed = RenderSession.LADDER.index("ir=legacy")
         assert len(incidents) == rungs_climbed * N_VIEWS
 
     def test_coherence_fault_heals_with_carrier_off(self, clean_aggregates):
-        result = chaos_run("coherence.verify:raise", coherence="incremental")
+        result = chaos_run("coherence.verify:raise", coherence="auto")
         self._assert_healed(result, clean_aggregates, "coherence=off",
                             "coherence.verify")
 
@@ -183,7 +184,7 @@ class TestLadder:
         # Detected inline (forced verify miss), so no incident is raised —
         # the run is simply served by the full-recompute oracle.
         result = chaos_run("coherence.verify:corrupt",
-                           coherence="incremental")
+                           coherence="auto")
         assert result.aggregates() == clean_aggregates
         assert result.incidents() == []
 
@@ -233,6 +234,8 @@ class TestLadder:
                 session.run(n_views=N_VIEWS)
         err = excinfo.value
         assert err.index == 0
+        assert RenderSession.LADDER == ("primary", "retry", "coherence=off",
+                                        "ir=legacy", "engine=scalar")
         assert len(err.incidents) == len(RenderSession.LADDER)
         assert {inc.rung for inc in err.incidents} == set(RenderSession.LADDER)
         assert isinstance(err.__cause__, faults.FaultInjected)
@@ -430,7 +433,7 @@ class TestDrawReplayFaults:
             clean = RenderSession(SCENE, warm_crop_cache=True,
                                   coherence="off").run(n_views=N_VIEWS)
             session = RenderSession(SCENE, warm_crop_cache=True,
-                                    coherence="incremental")
+                                    coherence="auto")
             session.run(n_views=N_VIEWS)  # fills the library and memos
         del plan_builds[:]
         with faults.active(FaultPlan.parse("flushplan:raise,times=1")):
@@ -451,10 +454,10 @@ class TestDrawReplayFaults:
         the memos of a fault-free run, which then replay exactly."""
         with faults.active(None):
             clean = RenderSession(SCENE, warm_crop_cache=True,
-                                  coherence="incremental")
+                                  coherence="auto")
             first = clean.run(n_views=N_VIEWS)
         session = RenderSession(SCENE, warm_crop_cache=True,
-                                coherence="incremental")
+                                coherence="auto")
         with faults.active(FaultPlan.parse("lru.replay:raise,times=1")):
             healed = session.run(n_views=N_VIEWS)
         assert [(inc["point"], inc["recovered_by"])

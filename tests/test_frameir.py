@@ -3,11 +3,14 @@
 The FrameIR path (:mod:`repro.render.frameir`) derives the quad table, the
 (prim, tile) group ranges and the (prim, grid) pair structures from the
 rasteriser's row intervals with no fragment-level sort; the legacy path —
-retained behind ``ir="legacy"`` — re-sorts the fragment stream.  Both must
-agree **bit for bit** on every observable: every quad-table column (meta
-and aggregates, for every threshold/lag in use), the group and pair
-structures the flush planner iterates, the HET termination sets, and the
-simulated draws themselves.  Random splat scenes plus the library's five
+taken by bare streams, ``rasterize_splats(..., ir="legacy")`` — re-sorts
+the fragment stream.  Both must agree **bit for bit** on every
+observable: every quad-table column (meta and aggregates, for every
+threshold/lag in use), the group and pair structures the flush planner
+iterates, the HET termination sets, and the simulated draws themselves.
+Quad tables compare against :meth:`QuadTable.from_stream` called by name
+on the same stream; workloads and draws against a bare twin stream of the
+same frame.  Random splat scenes plus the library's five
 digestion regimes — empty, single-pixel, max_fragments-clamped,
 HET-terminated, warm handoff — pin the equivalence the same way the
 scalar-oracle fuzz suites de-risked the LRU and flush engines.
@@ -24,8 +27,10 @@ from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.preprocess import preprocess
 from repro.gaussians.projection import project_gaussians
 from repro.hwmodel.pipeline import DrawWorkload, GraphicsPipeline
-from repro.render.frameir import FrameIR, resolve_ir
+from repro.render.fragstream import QuadTable
+from repro.render.frameir import FrameIR
 from repro.render.splat_raster import rasterize_splats
+from tests.test_stream_decides import IR_ENGINES, forbid
 
 TABLE_COLUMNS = (
     "prim_ids", "qx", "qy", "tile_ids", "grid_ids", "qpos",
@@ -88,9 +93,24 @@ def assert_workloads_identical(wl_ir, wl_legacy):
                                   wl_legacy.terminated_stencil_tags)
 
 
-def both_workloads(stream, config):
-    return (DrawWorkload.from_stream(stream, config, ir="frameir"),
-            DrawWorkload.from_stream(stream, config, ir="legacy"))
+def assert_matches_oracle(stream, threshold, lag):
+    """The stream's (IR-built) quad table equals the sort-based oracle
+    called by name on the same stream."""
+    assert stream.frameir is not None
+    assert_tables_identical(stream.quad_table(threshold, lag),
+                            QuadTable.from_stream(stream, threshold, lag))
+
+
+def bare_twin(splats, width, height, **kwargs):
+    """The same frame rasterised without a FrameIR (the oracle paths)."""
+    bare = rasterize_splats(splats, width, height, ir="legacy", **kwargs)
+    assert bare.frameir is None
+    return bare
+
+
+def both_workloads(stream, bare, config):
+    return (DrawWorkload.from_stream(stream, config),
+            DrawWorkload.from_stream(bare, config))
 
 
 class TestFrameIRFuzz:
@@ -101,14 +121,11 @@ class TestFrameIRFuzz:
             cloud = random_cloud(rng, n)
             cam = camera()
             pre = preprocess(cloud, cam)
-            stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                      ir="frameir")
+            stream = rasterize_splats(pre.splats, cam.width, cam.height)
             if len(stream) == 0:
                 continue
             for threshold, lag in ((0.996, 0), (0.996, 2), (0.9, 1)):
-                assert_tables_identical(
-                    stream.quad_table(threshold, lag, ir="frameir"),
-                    stream.quad_table(threshold, lag, ir="legacy"))
+                assert_matches_oracle(stream, threshold, lag)
 
     def test_random_workloads_match_oracle(self):
         rng = np.random.default_rng(fuzz_seed("frameir-wl"))
@@ -117,11 +134,11 @@ class TestFrameIRFuzz:
                                  opacity_low=0.5)
             cam = camera()
             pre = preprocess(cloud, cam)
-            stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                      ir="frameir")
+            stream = rasterize_splats(pre.splats, cam.width, cam.height)
+            bare = bare_twin(pre.splats, cam.width, cam.height)
             for variant in ("baseline", "het+qm"):
                 cfg = variant_config(variant)
-                wl_ir, wl_legacy = both_workloads(stream, cfg)
+                wl_ir, wl_legacy = both_workloads(stream, bare, cfg)
                 assert_workloads_identical(wl_ir, wl_legacy)
 
     def test_random_draws_cycle_exact(self):
@@ -130,11 +147,11 @@ class TestFrameIRFuzz:
         cloud = random_cloud(rng, 120, opacity_low=0.4)
         cam = camera()
         pre = preprocess(cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  ir="frameir")
+        stream = rasterize_splats(pre.splats, cam.width, cam.height)
+        bare = bare_twin(pre.splats, cam.width, cam.height)
         for variant in ("baseline", "qm", "het", "het+qm"):
             cfg = variant_config(variant)
-            wl_ir, wl_legacy = both_workloads(stream, cfg)
+            wl_ir, wl_legacy = both_workloads(stream, bare, cfg)
             res_ir = GraphicsPipeline(cfg).draw(wl_ir)
             res_legacy = GraphicsPipeline(cfg).draw(wl_legacy)
             assert res_ir.cycles == res_legacy.cycles, variant
@@ -152,14 +169,13 @@ class TestDigestionRegimes:
         splats = project_gaussians(
             random_cloud(np.random.default_rng(0), 4), cam).subset(
                 np.array([], dtype=int))
-        stream = rasterize_splats(splats, cam.width, cam.height,
-                                  ir="frameir")
+        stream = rasterize_splats(splats, cam.width, cam.height)
         assert len(stream) == 0
         assert isinstance(stream.frameir, FrameIR)
-        assert_tables_identical(stream.quad_table(0.996, 0, ir="frameir"),
-                                stream.quad_table(0.996, 0, ir="legacy"))
+        assert_matches_oracle(stream, 0.996, 0)
+        bare = bare_twin(splats, cam.width, cam.height)
         cfg = variant_config("het+qm")
-        assert_workloads_identical(*both_workloads(stream, cfg))
+        assert_workloads_identical(*both_workloads(stream, bare, cfg))
 
     def test_single_pixel_splats(self):
         """Subpixel splats: every primitive covers exactly one pixel, so
@@ -169,17 +185,16 @@ class TestDigestionRegimes:
                              opacity_low=0.6)
         cam = camera()
         pre = preprocess(cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  ir="frameir")
+        stream = rasterize_splats(pre.splats, cam.width, cam.height)
         assert len(stream) > 0
         counts = np.bincount(stream.prim_ids)
         # Subpixel splats: floor/ceil bound snapping caps coverage at a
         # 4x4 pixel neighbourhood per primitive.
         assert counts.max() <= 16
-        assert_tables_identical(stream.quad_table(0.996, 2, ir="frameir"),
-                                stream.quad_table(0.996, 2, ir="legacy"))
+        assert_matches_oracle(stream, 0.996, 2)
+        bare = bare_twin(pre.splats, cam.width, cam.height)
         cfg = variant_config("het+qm")
-        assert_workloads_identical(*both_workloads(stream, cfg))
+        assert_workloads_identical(*both_workloads(stream, bare, cfg))
 
     def test_max_fragments_clamped(self):
         """At the max_fragments guard boundary the IR still rides along
@@ -191,89 +206,90 @@ class TestDigestionRegimes:
         total = len(rasterize_splats(pre.splats, cam.width, cam.height))
         assert total > 0
         stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  max_fragments=total, ir="frameir")
+                                  max_fragments=total)
         assert isinstance(stream.frameir, FrameIR)
         with pytest.raises(MemoryError):
             rasterize_splats(pre.splats, cam.width, cam.height,
                              max_fragments=total - 1)
-        assert_tables_identical(stream.quad_table(0.996, 0, ir="frameir"),
-                                stream.quad_table(0.996, 0, ir="legacy"))
+        assert_matches_oracle(stream, 0.996, 0)
+        bare = bare_twin(pre.splats, cam.width, cam.height,
+                         max_fragments=total)
         cfg = variant_config("baseline")
-        assert_workloads_identical(*both_workloads(stream, cfg))
+        assert_workloads_identical(*both_workloads(stream, bare, cfg))
 
     def test_het_terminated(self, deep_cloud, deep_camera):
         """Depth-stacked opaque layers saturate pixels: the termination
         sets are non-trivial and must match exactly."""
         pre = preprocess(deep_cloud, deep_camera)
         deep_stream = rasterize_splats(
-            pre.splats, deep_camera.width, deep_camera.height,
-            ir="frameir")
+            pre.splats, deep_camera.width, deep_camera.height)
+        bare = bare_twin(pre.splats, deep_camera.width, deep_camera.height)
         cfg = variant_config("het+qm")
-        wl_ir, wl_legacy = both_workloads(deep_stream, cfg)
+        wl_ir, wl_legacy = both_workloads(deep_stream, bare, cfg)
         assert wl_ir.n_terminated_pixels > 0
         assert wl_ir.terminated_stencil_tags.size > 0
         assert_workloads_identical(wl_ir, wl_legacy)
-        assert_tables_identical(
-            deep_stream.quad_table(cfg.termination_alpha,
-                                   cfg.het_inflight_lag, ir="frameir"),
-            deep_stream.quad_table(cfg.termination_alpha,
-                                   cfg.het_inflight_lag, ir="legacy"))
+        assert_matches_oracle(deep_stream, cfg.termination_alpha,
+                              cfg.het_inflight_lag)
 
     def test_warm_handoff(self):
         """Whichever path digests first (warming the stream's shared
-        pixel-sort/arrival caches), the other must reproduce it exactly —
-        and the cached tables must be path-keyed, not shared."""
+        pixel-sort/arrival caches), the other must reproduce it exactly:
+        the oracle table runs by name on the same IR stream, before and
+        after the IR digestion."""
         rng = np.random.default_rng(fuzz_seed("warm"))
         cloud = random_cloud(rng, 80, opacity_low=0.55)
         cam = camera()
         pre = preprocess(cloud, cam)
         cfg = variant_config("het+qm")
+        lag = cfg.het_inflight_lag
 
-        stream_a = rasterize_splats(pre.splats, cam.width, cam.height,
-                                    ir="frameir")
-        first_a = DrawWorkload.from_stream(stream_a, cfg, ir="frameir")
-        second_a = DrawWorkload.from_stream(stream_a, cfg, ir="legacy")
-        assert first_a.quads is not second_a.quads
-        assert_workloads_identical(first_a, second_a)
+        stream_a = rasterize_splats(pre.splats, cam.width, cam.height)
+        first_a = DrawWorkload.from_stream(stream_a, cfg)
+        second_a = QuadTable.from_stream(stream_a, cfg.termination_alpha,
+                                         lag)
+        assert first_a.quads is not second_a
+        assert_tables_identical(first_a.quads, second_a)
 
-        stream_b = rasterize_splats(pre.splats, cam.width, cam.height,
-                                    ir="frameir")
-        first_b = DrawWorkload.from_stream(stream_b, cfg, ir="legacy")
-        second_b = DrawWorkload.from_stream(stream_b, cfg, ir="frameir")
-        assert_workloads_identical(second_b, first_b)
+        stream_b = rasterize_splats(pre.splats, cam.width, cam.height)
+        first_b = QuadTable.from_stream(stream_b, cfg.termination_alpha, lag)
+        second_b = DrawWorkload.from_stream(stream_b, cfg)
+        assert_tables_identical(second_b.quads, first_b)
         assert_tables_identical(second_b.quads, first_a.quads)
+        bare = bare_twin(pre.splats, cam.width, cam.height)
+        assert_workloads_identical(second_b,
+                                   DrawWorkload.from_stream(bare, cfg))
 
 
 class TestIRKnob:
     def test_resolve_ir_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_IR", raising=False)
-        assert resolve_ir() == "auto"
+        """The rasteriser's ``ir`` default is ``"auto"`` whatever the
+        environment holds (no process-wide knob: a worker inheriting a
+        stale ``REPRO_IR`` still takes the path its arguments name), and
+        only the declared modes are accepted."""
         monkeypatch.setenv("REPRO_IR", "legacy")
-        assert resolve_ir() == "legacy"
-        assert resolve_ir("frameir") == "frameir"
-        with pytest.raises(ValueError, match="ir mode"):
-            resolve_ir("warp")
-
-    def test_frameir_mode_requires_ir(self):
         rng = np.random.default_rng(3)
-        cloud = random_cloud(rng, 20)
+        pre = preprocess(random_cloud(rng, 20), camera())
+        stream = rasterize_splats(pre.splats, 112, 96)
+        assert isinstance(stream.frameir, FrameIR)
+        for mode in ("frameir", "warp", None):
+            with pytest.raises(ValueError, match="ir mode"):
+                rasterize_splats(pre.splats, 112, 96, ir=mode)
+
+    def test_legacy_stream_has_no_ir(self):
+        rng = np.random.default_rng(4)
+        cloud = random_cloud(rng, 15)
         cam = camera()
         pre = preprocess(cloud, cam)
-        bare = rasterize_splats(pre.splats, cam.width, cam.height,
-                                ir="legacy")
-        assert bare.frameir is None
-        if len(bare):
-            with pytest.raises(ValueError, match="frameir"):
-                bare.quad_table(0.996, 0, ir="frameir")
-            # auto falls back to the legacy path on bare streams.
-            assert bare.quad_table(0.996, 0, ir="auto") is not None
+        stream = rasterize_splats(pre.splats, cam.width, cam.height)
+        assert isinstance(stream.frameir, FrameIR)
+        assert stream.frameir.n_fragments == len(stream)
+        bare = bare_twin(pre.splats, cam.width, cam.height)
+        np.testing.assert_array_equal(bare.alphas, stream.alphas)
 
-    def test_env_frameir_default_stays_best_effort(self, monkeypatch):
-        """A ``$REPRO_IR=frameir`` process default must not harden into a
-        by-name requirement inside renderers constructed under it: bare
-        streams (hand-built or scalar-rasterised) keep digesting through
-        the legacy fallback."""
-        monkeypatch.setenv("REPRO_IR", "frameir")
+    def test_bare_stream_digests_through_oracle(self, monkeypatch):
+        """Hand-built and scalar-rasterised streams carry no IR, so the
+        hardware renderer digests them through the sort-based oracle."""
         from repro.core.vrpipe import HardwareRenderer
         from repro.render.splat_raster import rasterize_splats_scalar
 
@@ -283,18 +299,9 @@ class TestIRKnob:
         pre = preprocess(cloud, cam)
         bare = rasterize_splats_scalar(pre.splats, cam.width, cam.height)
         assert bare.frameir is None
+        forbid(monkeypatch, IR_ENGINES)
         result = HardwareRenderer().render_stream(bare, pre)
         assert result.draw.cycles > 0
-
-    def test_legacy_stream_has_no_ir(self):
-        rng = np.random.default_rng(4)
-        cloud = random_cloud(rng, 15)
-        cam = camera()
-        pre = preprocess(cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  ir="frameir")
-        assert isinstance(stream.frameir, FrameIR)
-        assert stream.frameir.n_fragments == len(stream)
 
 
 class TestDtypePins:
@@ -312,14 +319,15 @@ class TestDtypePins:
         cloud = random_cloud(rng, 90)
         cam = camera()
         pre = preprocess(cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  ir="frameir")
+        stream = rasterize_splats(pre.splats, cam.width, cam.height)
         assert len(stream) > 0
-        for ir in ("frameir", "legacy"):
-            table = stream.quad_table(0.996, 0, ir=ir)
+        tables = {"frameir": stream.quad_table(0.996, 0),
+                  "legacy": QuadTable.from_stream(stream, 0.996, 0)}
+        for path, table in tables.items():
             for name in TABLE_COLUMNS:
-                assert getattr(table, name).dtype == np.int64, (ir, name)
+                assert getattr(table, name).dtype == np.int64, (path, name)
+        bare = bare_twin(pre.splats, cam.width, cam.height)
         config = variant_config("baseline")
-        for workload in both_workloads(stream, config):
+        for workload in both_workloads(stream, bare, config):
             for name in GROUP_COLUMNS:
                 assert getattr(workload, name).dtype == np.int64, name

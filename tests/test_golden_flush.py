@@ -24,17 +24,18 @@ from repro.workloads.catalog import build_scene, get_profile
 
 SCENES = ("lego", "palace")
 
-#: Every scene runs under both digestion engines: the FrameIR path and
-#: the legacy sort-based oracle must drive bit-identical flush schedules
-#: (CI additionally forces each mode process-wide via ``REPRO_IR``).
-IR_MODES = ("frameir", "legacy")
+#: Every scene runs under both digestion engines, keyed by test id: an
+#: ``ir="auto"`` stream carries a FrameIR and digests off it, an
+#: ``ir="legacy"`` stream is bare and takes the sort-based oracle.  Both
+#: must drive bit-identical flush schedules.
+IR_MODES = {"frameir": "auto", "legacy": "legacy"}
 
 
 @pytest.fixture(scope="module",
                 params=[(scene, ir) for scene in SCENES for ir in IR_MODES],
                 ids=lambda p: f"{p[0]}-{p[1]}")
 def scene_stream(request):
-    scene, ir = request.param
+    scene, ir = request.param[0], IR_MODES[request.param[1]]
     profile = get_profile(scene)
     cloud = build_scene(profile, seed=0)
     camera = profile.camera()

@@ -64,7 +64,8 @@ def cam96():
 
 
 class TestGoldenScenes:
-    @pytest.mark.parametrize("ir", ("frameir", "legacy"))
+    @pytest.mark.parametrize("ir", ("auto", "legacy"),
+                             ids=("frameir", "legacy"))
     @pytest.mark.parametrize("scene", GOLDEN_SCENES)
     def test_bit_identical_on_catalog_scene(self, scene, ir):
         # The ir knob only selects the digestion structure riding on the
@@ -72,7 +73,7 @@ class TestGoldenScenes:
         # the scalar golden loop in every mode.
         splats, w, h = _scene_splats(scene)
         batched = rasterize_splats(splats, w, h, ir=ir)
-        assert (batched.frameir is not None) == (ir == "frameir")
+        assert (batched.frameir is not None) == (ir == "auto")
         assert_streams_bit_identical(batched,
                                      rasterize_splats_scalar(splats, w, h))
 

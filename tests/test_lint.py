@@ -231,7 +231,7 @@ class TestR4Registry:
         findings = lint_snippet(
             tmp_path, "render/x.py",
             "from repro import knobs\n\n"
-            "def f():\n    return knobs.env('REPRO_IR')\n", {"R4"})
+            "def f():\n    return knobs.env('REPRO_FAULTS')\n", {"R4"})
         assert [f for f in active(findings)
                 if f.path.endswith("x.py")] == []
 
@@ -249,12 +249,24 @@ class TestR5Oracles:
             "def f(ir='bogus'):\n    return ir == 'also-bogus'\n", {"R5"})
         assert {f.rule for f in active(findings)} == {"R5"}
         assert len(active(findings)) == 2
+        # Stale callers of the retired strict aliases are flagged too.
+        stale = (("ir='frameir'", "rasterize_splats(s, 8, 8, ir='frameir')"),
+                 ("coherence='incremental'",
+                  "RenderSession(s, coherence='incremental')"))
+        for n, (literal, call) in enumerate(stale):
+            findings = lint_snippet(
+                tmp_path, f"render/stale{n}.py",
+                f"def f(s):\n    return {call}\n", {"R5"})
+            messages = [f.message for f in active(findings)
+                        if f.path.endswith(f"stale{n}.py")]
+            assert len(messages) == 1
+            assert messages[0].startswith(f"{literal} is not a declared mode")
 
     def test_declared_mode_literals_are_legal(self, tmp_path):
         findings = lint_snippet(
             tmp_path, "render/x.py",
             "def f(ir='auto', coherence='off'):\n"
-            "    return ir in ('frameir', 'legacy')\n", {"R5"})
+            "    return ir in ('auto', 'legacy')\n", {"R5"})
         assert [f for f in active(findings)
                 if f.path.endswith("x.py")] == []
 

@@ -182,8 +182,7 @@ class TestCheckMode:
         from repro.perf import suite as suite_mod
         from repro.perf.timer import TimingResult
 
-        def fake_suite(quick, scene=None, repeat=None, ir=None,
-                       coherence=None, swmodel=None):
+        def fake_suite(quick, scene=None, repeat=None):
             return [BenchResult(TimingResult("fake/x", [0.2], 0), "s", {})]
 
         monkeypatch.setitem(suite_mod.SUITES, "rasterize", fake_suite)
@@ -193,8 +192,7 @@ class TestCheckMode:
         assert cli_main(["bench", "--suite", "rasterize", "--quick",
                          "--check"]) == 0
 
-        def slow_suite(quick, scene=None, repeat=None, ir=None,
-                       coherence=None, swmodel=None):
+        def slow_suite(quick, scene=None, repeat=None):
             return [BenchResult(TimingResult("fake/x", [2.0], 0), "s", {})]
 
         monkeypatch.setitem(suite_mod.SUITES, "rasterize", slow_suite)

@@ -1,25 +1,27 @@
 """Fuzz/property tests: FrameIR-native software models vs the sort oracle.
 
 The CUDA warp model (:mod:`repro.swrender.warp_model`) and the multi-pass
-model (:mod:`repro.swopt.multipass`) each carry two engines behind the
-``swmodel`` knob: the FrameIR-native path reads the (prim, tile) group
-ranges / quad table plus digestion's cached pixel-sorted arrival chain,
-while ``swmodel="legacy"`` is the retained fragment-sort oracle.  Both
-must agree **bit for bit** on every observable: the
+model (:mod:`repro.swopt.multipass`) each carry two engines, picked by
+the stream: a stream carrying a FrameIR runs the IR-native path (the
+(prim, tile) group ranges / quad table plus digestion's cached
+pixel-sorted arrival chain), a bare stream — ``rasterize_splats(...,
+ir="legacy")`` — runs the retained fragment-sort oracle.  Both must agree
+**bit for bit** on every observable: the
 :class:`~repro.swrender.warp_model.WarpExecution` round and blend counts,
 every :class:`~repro.swopt.multipass.MultipassResult` cycle (per batch,
 per stencil update, total) and blended-fragment count, the sweep speedup
 maps, and the :class:`~repro.swrender.tiling.TileAssignment` pair counts
-of end-to-end renders.  Random splat scenes plus the library's five
-digestion regimes — empty, single-pixel, max_fragments-clamped,
-HET-terminated, warm handoff — pin the equivalence the same way
-``test_frameir.py`` de-risked the digestion engines.
+of end-to-end renders.  Each test compares an IR stream against a bare
+twin of the same frame, or calls the oracle by name on the IR stream.
+Random splat scenes plus the library's five digestion regimes — empty,
+single-pixel, max_fragments-clamped, HET-terminated, warm handoff — pin
+the equivalence the same way ``test_frameir.py`` de-risked the digestion
+engines.
 """
 
 import zlib
 
 import numpy as np
-import pytest
 
 from repro.gaussians.camera import Camera
 from repro.gaussians.gaussian import GaussianCloud
@@ -27,9 +29,16 @@ from repro.gaussians.preprocess import preprocess
 from repro.gaussians.projection import project_gaussians
 from repro.render.frameir import FrameIR
 from repro.render.splat_raster import rasterize_splats
-from repro.swopt.multipass import multipass_sweep, run_multipass
+from repro.swopt.multipass import (
+    _multipass_workspace_legacy,
+    multipass_sweep,
+    run_multipass,
+)
 from repro.swrender.renderer import CudaRenderer
-from repro.swrender.warp_model import resolve_swmodel, simulate_tile_warps
+from repro.swrender.warp_model import (
+    _simulate_tile_warps_legacy,
+    simulate_tile_warps,
+)
 
 PASS_COUNTS = (1, 2, 5, 7)
 THRESHOLDS = (0.996, 0.9)
@@ -73,18 +82,26 @@ def assert_multipass_identical(a, b):
     assert a.fragments_blended == b.fragments_blended
 
 
-def assert_stream_parity(stream):
-    """Both engines agree exactly on every model output of one stream."""
+def raster_pair(splats, width, height, **kwargs):
+    """One frame rasterised twice: with a FrameIR (the IR engines) and
+    bare (the sort-based oracles)."""
+    stream = rasterize_splats(splats, width, height, **kwargs)
+    bare = rasterize_splats(splats, width, height, ir="legacy", **kwargs)
+    assert isinstance(stream.frameir, FrameIR)
+    assert bare.frameir is None
+    return stream, bare
+
+
+def assert_stream_parity(stream, bare):
+    """Both engines agree exactly on every model output of one frame."""
     for threshold in THRESHOLDS:
-        assert_warps_identical(
-            simulate_tile_warps(stream, threshold, swmodel="frameir"),
-            simulate_tile_warps(stream, threshold, swmodel="legacy"))
+        assert_warps_identical(simulate_tile_warps(stream, threshold),
+                               simulate_tile_warps(bare, threshold))
     for n in PASS_COUNTS:
-        assert_multipass_identical(
-            run_multipass(stream, n, swmodel="frameir"),
-            run_multipass(stream, n, swmodel="legacy"))
-    assert (multipass_sweep(stream, PASS_COUNTS, swmodel="frameir")
-            == multipass_sweep(stream, PASS_COUNTS, swmodel="legacy"))
+        assert_multipass_identical(run_multipass(stream, n),
+                                   run_multipass(bare, n))
+    assert (multipass_sweep(stream, PASS_COUNTS)
+            == multipass_sweep(bare, PASS_COUNTS))
 
 
 class TestSwmodelFuzz:
@@ -95,11 +112,10 @@ class TestSwmodelFuzz:
             cloud = random_cloud(rng, n, opacity_low=0.3)
             cam = camera()
             pre = preprocess(cloud, cam)
-            stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                      ir="frameir")
+            stream, bare = raster_pair(pre.splats, cam.width, cam.height)
             if len(stream) == 0:
                 continue
-            assert_stream_parity(stream)
+            assert_stream_parity(stream, bare)
 
 
 class TestSwmodelRegimes:
@@ -110,15 +126,12 @@ class TestSwmodelRegimes:
         splats = project_gaussians(
             random_cloud(np.random.default_rng(0), 4), cam).subset(
                 np.array([], dtype=int))
-        stream = rasterize_splats(splats, cam.width, cam.height,
-                                  ir="frameir")
-        assert len(stream) == 0
-        assert isinstance(stream.frameir, FrameIR)
-        for swmodel in ("frameir", "legacy"):
-            warp = simulate_tile_warps(stream, swmodel=swmodel)
+        for stream in raster_pair(splats, cam.width, cam.height):
+            assert len(stream) == 0
+            warp = simulate_tile_warps(stream)
             assert (warp.rounds_no_et, warp.rounds_et,
                     warp.blend_ops_no_et, warp.blend_ops_et) == (0, 0, 0, 0)
-            res = run_multipass(stream, 3, swmodel=swmodel)
+            res = run_multipass(stream, 3)
             assert res.total_cycles == 0.0
             assert res.fragments_blended == 0
 
@@ -129,10 +142,9 @@ class TestSwmodelRegimes:
                              opacity_low=0.6)
         cam = camera()
         pre = preprocess(cloud, cam)
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  ir="frameir")
+        stream, bare = raster_pair(pre.splats, cam.width, cam.height)
         assert len(stream) > 0
-        assert_stream_parity(stream)
+        assert_stream_parity(stream, bare)
 
     def test_max_fragments_clamped(self):
         """At the max_fragments guard boundary the IR still rides along
@@ -143,41 +155,45 @@ class TestSwmodelRegimes:
         pre = preprocess(cloud, cam)
         total = len(rasterize_splats(pre.splats, cam.width, cam.height))
         assert total > 0
-        stream = rasterize_splats(pre.splats, cam.width, cam.height,
-                                  max_fragments=total, ir="frameir")
-        assert isinstance(stream.frameir, FrameIR)
-        assert_stream_parity(stream)
+        assert_stream_parity(*raster_pair(pre.splats, cam.width, cam.height,
+                                          max_fragments=total))
 
-    def test_het_terminated(self, deep_stream):
+    def test_het_terminated(self, deep_pre, deep_camera):
         """Depth-stacked opaque layers saturate pixels: the warp model's
         per-pixel exit rounds are non-trivial and must match exactly."""
-        warp = simulate_tile_warps(deep_stream, swmodel="frameir")
+        stream, bare = raster_pair(deep_pre.splats, deep_camera.width,
+                                   deep_camera.height)
+        warp = simulate_tile_warps(stream)
         assert warp.rounds_et < warp.rounds_no_et
-        assert_stream_parity(deep_stream)
+        assert_stream_parity(stream, bare)
 
     def test_warm_handoff(self):
         """Whichever engine digests first (warming the stream's shared
-        pixel-sort/arrival caches), the other must reproduce it exactly."""
+        pixel-sort/arrival caches), the other must reproduce it exactly:
+        the oracles run by name on the same IR stream."""
         rng = np.random.default_rng(fuzz_seed("sw-warm"))
         cloud = random_cloud(rng, 80, opacity_low=0.55)
         cam = camera()
         pre = preprocess(cloud, cam)
+        threshold = THRESHOLDS[0]
 
-        stream_a = rasterize_splats(pre.splats, cam.width, cam.height,
-                                    ir="frameir")
-        first_a = simulate_tile_warps(stream_a, swmodel="frameir")
-        second_a = simulate_tile_warps(stream_a, swmodel="legacy")
-        assert_warps_identical(first_a, second_a)
+        def rounds(warp):
+            return warp.rounds_no_et, warp.rounds_et
 
-        stream_b = rasterize_splats(pre.splats, cam.width, cam.height,
-                                    ir="frameir")
-        first_b = simulate_tile_warps(stream_b, swmodel="legacy")
-        second_b = simulate_tile_warps(stream_b, swmodel="frameir")
-        assert_warps_identical(second_b, first_b)
-        assert_warps_identical(first_a, first_b)
+        stream_a = rasterize_splats(pre.splats, cam.width, cam.height)
+        first_a = simulate_tile_warps(stream_a, threshold)
+        second_a = _simulate_tile_warps_legacy(stream_a, threshold)
+        assert rounds(first_a) == second_a
 
-        mp_a = run_multipass(stream_a, 4, swmodel="frameir")
-        mp_b = run_multipass(stream_b, 4, swmodel="legacy")
+        stream_b = rasterize_splats(pre.splats, cam.width, cam.height)
+        first_b = _simulate_tile_warps_legacy(stream_b, threshold)
+        second_b = simulate_tile_warps(stream_b, threshold)
+        assert rounds(second_b) == first_b
+        assert_warps_identical(first_a, second_b)
+
+        mp_a = run_multipass(stream_a, 4)
+        mp_b = run_multipass(
+            stream_b, 4, _workspace=_multipass_workspace_legacy(stream_b))
         assert_multipass_identical(mp_a, mp_b)
 
 
@@ -189,8 +205,10 @@ class TestCudaRendererParity:
         rng = np.random.default_rng(fuzz_seed("sw-e2e"))
         cloud = random_cloud(rng, 120, opacity_low=0.4)
         cam = camera()
-        res_ir = CudaRenderer(swmodel="frameir").render(cloud, cam)
-        res_legacy = CudaRenderer(swmodel="legacy").render(cloud, cam)
+        pre = preprocess(cloud, cam)
+        stream, bare = raster_pair(pre.splats, cam.width, cam.height)
+        res_ir = CudaRenderer().render_stream(stream, pre)
+        res_legacy = CudaRenderer().render_stream(bare, pre)
         assert_warps_identical(res_ir.warp_exec, res_legacy.warp_exec)
         assert res_ir.timing.total_cycles == res_legacy.timing.total_cycles
         assert (res_ir.timing.breakdown_ms()
@@ -200,57 +218,12 @@ class TestCudaRendererParity:
         assert res_ir.tiling.n_pairs == res_legacy.tiling.n_pairs
         # The blend is deferred until the image is actually read.
         assert res_ir._image is None
-        np.testing.assert_array_equal(res_ir.image, res_legacy.image)
-        np.testing.assert_array_equal(res_ir.alpha, res_legacy.alpha)
+        # The bare twin's arrival chain is the global log-space cumsum,
+        # the IR stream's the per-scanline one: equal up to summation
+        # order.
+        np.testing.assert_allclose(res_ir.image, res_legacy.image,
+                                   atol=1e-12)
+        np.testing.assert_allclose(res_ir.alpha, res_legacy.alpha,
+                                   atol=1e-12)
         assert res_ir._image is not None
 
-
-class TestSwmodelKnob:
-    def test_resolve_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWMODEL", raising=False)
-        assert resolve_swmodel() == "auto"
-        monkeypatch.setenv("REPRO_SWMODEL", "legacy")
-        assert resolve_swmodel() == "legacy"
-        assert resolve_swmodel("frameir") == "frameir"
-        with pytest.raises(ValueError, match="swmodel mode"):
-            resolve_swmodel("warp")
-
-    def test_frameir_mode_requires_ir(self):
-        rng = np.random.default_rng(3)
-        cloud = random_cloud(rng, 20, opacity_low=0.5)
-        cam = camera()
-        pre = preprocess(cloud, cam)
-        bare = rasterize_splats(pre.splats, cam.width, cam.height,
-                                ir="legacy")
-        assert bare.frameir is None
-        if len(bare):
-            with pytest.raises(ValueError, match="frameir"):
-                simulate_tile_warps(bare, swmodel="frameir")
-            with pytest.raises(ValueError, match="frameir"):
-                run_multipass(bare, 2, swmodel="frameir")
-            # auto falls back to the oracle on bare streams.
-            assert_warps_identical(
-                simulate_tile_warps(bare, swmodel="auto"),
-                simulate_tile_warps(bare, swmodel="legacy"))
-
-    def test_env_frameir_default_stays_best_effort(self, monkeypatch):
-        """A ``$REPRO_SWMODEL=frameir`` process default must not harden
-        into a by-name requirement: bare (legacy-rasterised) streams keep
-        digesting through the oracle fallback."""
-        monkeypatch.setenv("REPRO_SWMODEL", "frameir")
-        rng = np.random.default_rng(9)
-        cloud = random_cloud(rng, 30, opacity_low=0.5)
-        cam = camera()
-        pre = preprocess(cloud, cam)
-        bare = rasterize_splats(pre.splats, cam.width, cam.height,
-                                ir="legacy")
-        assert bare.frameir is None
-        warp = simulate_tile_warps(bare)
-        assert_warps_identical(warp, simulate_tile_warps(bare,
-                                                         swmodel="legacy"))
-        assert_multipass_identical(run_multipass(bare, 3),
-                                   run_multipass(bare, 3, swmodel="legacy"))
-
-    def test_renderer_validates_eagerly(self):
-        with pytest.raises(ValueError, match="swmodel mode"):
-            CudaRenderer(swmodel="warp")

@@ -5,6 +5,7 @@ import pytest
 from repro.hwmodel.config import jetson_agx_orin
 from repro.swopt.inshader import InShaderModel, inshader_comparison
 from repro.swopt.multipass import multipass_sweep, run_multipass
+from tests.test_stream_decides import IR_ENGINES, ORACLES, forbid
 
 
 class TestInShader:
@@ -81,3 +82,32 @@ class TestMultipass:
     def test_type_check(self):
         with pytest.raises(TypeError):
             run_multipass("stream", 2)
+
+
+class TestMultipassStreamModes:
+    """Multipass under both rasteriser modes: FrameIR-carrying streams
+    build ``_multipass_workspace_ir``, bare streams the retained
+    ``_multipass_workspace_legacy`` oracle — with identical results."""
+
+    @pytest.mark.parametrize("n_passes", (1, 4, 16))
+    def test_stream_picks_engine_and_matches(self, ir_deep_stream,
+                                             deep_stream, ir, n_passes,
+                                             monkeypatch):
+        forbid(monkeypatch, IR_ENGINES if ir == "legacy" else ORACLES)
+        result = run_multipass(ir_deep_stream, n_passes)
+        monkeypatch.undo()
+        ref = run_multipass(deep_stream, n_passes)
+        assert vars(result) == vars(ref)
+        assert len(result.stencil_cycles) == n_passes - 1
+        perfect = int(ir_deep_stream.et_survivor_mask().sum())
+        assert perfect <= result.fragments_blended <= int(
+            ir_deep_stream.unpruned.sum())
+
+    def test_sweep_matches(self, ir_small_stream, small_stream, ir,
+                           monkeypatch):
+        forbid(monkeypatch, IR_ENGINES if ir == "legacy" else ORACLES)
+        sweep = multipass_sweep(ir_small_stream, [1, 2, 30])
+        monkeypatch.undo()
+        assert sweep == multipass_sweep(small_stream, [1, 2, 30])
+        assert sweep[1] == pytest.approx(1.0)
+        assert sweep[30] < 1.0

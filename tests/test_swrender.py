@@ -7,6 +7,7 @@ from repro.render.fragstream import FragmentStream
 from repro.swrender.renderer import CudaRenderer, SWKernelModel
 from repro.swrender.tiling import assign_tiles
 from repro.swrender.warp_model import simulate_tile_warps
+from tests.test_stream_decides import IR_ENGINES, ORACLES, forbid
 
 
 class TestTiling:
@@ -115,3 +116,36 @@ class TestCudaRenderer:
     def test_type_checks(self, small_camera):
         with pytest.raises(TypeError):
             CudaRenderer().render("cloud", small_camera)
+
+
+class TestWarpModelStreamModes:
+    """The warp model under both rasteriser modes: FrameIR-carrying
+    streams run ``_simulate_tile_warps_ir``, bare streams the retained
+    ``_simulate_tile_warps_legacy`` oracle — with identical results."""
+
+    def test_stream_picks_engine_and_matches(self, ir_deep_stream,
+                                             deep_stream, ir, monkeypatch):
+        assert (ir_deep_stream.frameir is None) == (ir == "legacy")
+        forbid(monkeypatch, IR_ENGINES if ir == "legacy" else ORACLES)
+        we = simulate_tile_warps(ir_deep_stream)
+        monkeypatch.undo()
+        ref = simulate_tile_warps(deep_stream)
+        assert vars(we) == vars(ref)
+
+    def test_lockstep_properties(self, ir_deep_stream):
+        we = simulate_tile_warps(ir_deep_stream)
+        assert we.rounds_et <= we.rounds_no_et
+        assert 1.0 <= we.et_speedup() <= (
+            ir_deep_stream.termination_ratio() + 1e-9)
+        assert 0.0 < we.blending_thread_fraction() < 1.0
+
+    def test_renderer_follows_stream(self, ir_small_stream, small_stream,
+                                     small_pre, ir, monkeypatch):
+        forbid(monkeypatch, IR_ENGINES if ir == "legacy" else ORACLES)
+        res = CudaRenderer().render_stream(ir_small_stream, small_pre)
+        monkeypatch.undo()
+        ref = CudaRenderer().render_stream(small_stream, small_pre)
+        assert res.timing.total_cycles == ref.timing.total_cycles
+        # Cycle counts are exact across modes; the image's log-space
+        # arrival chain differs only by summation order.
+        np.testing.assert_allclose(res.image, ref.image, atol=1e-12)
