@@ -395,8 +395,10 @@ def build_parser():
                             choices=available_backends())
     trajectory.add_argument("--views", type=int, default=8,
                             help="number of orbit viewpoints (default 8)")
-    trajectory.add_argument("--jobs", type=int, default=1,
-                            help="parallel frame workers (default serial)")
+    trajectory.add_argument("--jobs", type=int, default=None,
+                            help="lanes the frames are pipelined over "
+                                 "(bit-identical records; default: "
+                                 "min(2, cores), 1 with --warm-crop-cache)")
     trajectory.add_argument("--raster-jobs", type=int, default=None,
                             help="threads for the rasteriser's fragment "
                                  "blocks inside each frame (bit-identical "
@@ -410,7 +412,7 @@ def build_parser():
         help="backend compared against for per-frame speedups")
     trajectory.add_argument("--warm-crop-cache", action="store_true",
                             help="persist the CROP cache across frames "
-                                 "(serial only)")
+                                 "(one lane)")
     trajectory.add_argument("--cache-dir", default=None,
                             help="on-disk trajectory result cache directory")
     trajectory.add_argument("--ir", default="auto",
@@ -423,7 +425,7 @@ def build_parser():
                             choices=COHERENCE_MODES,
                             help="cross-frame digestion reuse against the "
                                  "previous frames' digested state "
-                                 "(bit-identical; bypassed by --jobs > 1)")
+                                 "(bit-identical)")
     trajectory.add_argument("--faults", default=None,
                             help="seeded fault-injection plan, e.g. "
                                  "'seed=7; digest:raise,times=1; "

@@ -4,7 +4,7 @@ The engine is the platform layer every scaling feature plugs into.  It
 unifies the library's three rendering paths behind one
 :class:`~repro.engine.backends.RendererBackend` protocol, simulates
 multi-frame trajectories through :class:`~repro.engine.session.RenderSession`,
-fans independent frames out over the parallel executor, and memoises
+pipelines their frames over lanes (:mod:`repro.engine.executor`), and memoises
 results in-process and on disk (:mod:`repro.engine.cache`).
 """
 
@@ -28,9 +28,9 @@ from repro.engine.cache import (
     get_scenario,
 )
 from repro.engine.executor import (
-    FrameExecutionError,
     FrameIncident,
     FrameLadderExhausted,
+    auto_lanes,
     frame_seed,
     run_frames,
 )
@@ -42,7 +42,6 @@ from repro.engine.session import (
 )
 
 __all__ = [
-    "FrameExecutionError",
     "FrameIncident",
     "FrameLadderExhausted",
     "FrameRecord",
@@ -52,6 +51,7 @@ __all__ = [
     "ResultCache",
     "Scenario",
     "TrajectoryResult",
+    "auto_lanes",
     "available_backends",
     "backend_spec",
     "clear_cache",

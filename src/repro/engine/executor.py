@@ -1,23 +1,29 @@
-"""Parallel frame execution with deterministic per-frame seeding.
+"""Frame lanes and deterministic per-frame seeding.
 
-Frames of a trajectory are independent once cross-frame state (warm CROP
-cache) is disabled, so they fan out over a thread pool:
-the simulation is numpy-heavy, and every worker shares the read-only
-scene cloud with zero copies.  Results always come back in frame order,
-so serial and parallel runs are bit-identical.  Each frame also carries
-a deterministic seed (see :func:`frame_seed`) so backends that do draw
-randomness stay reproducible across workers and reruns.
+:func:`run_frames` runs tasks over *lanes*: worker threads that pick
+tasks up in task order and return results in task order.  The
+simulation is NumPy-heavy and the large array operations release the
+GIL, so lanes overlap on real cores, and every lane shares the read-only
+scene cloud with zero copies.  State carried across frames is the
+caller's to order: :class:`~repro.engine.session.RenderSession` funnels
+each frame's coherence classify→capture section through a frame-ordered
+turn, so any lane count produces bit-identical records.  A warm CROP
+cache is carried by every draw and keeps its sessions on one lane.  The
+rasteriser fans its independent fragment blocks out over the same
+function.  Each frame also carries a deterministic seed (see
+:func:`frame_seed`) so backends that do draw randomness stay
+reproducible across lanes and reruns.
 
 This module also owns the structured failure types of the self-healing
 frame executor (see :class:`~repro.engine.session.RenderSession`):
-:class:`FrameIncident` records one recovered (or fatal) fault,
+:class:`FrameIncident` records one recovered (or fatal) fault, and
 :class:`FrameLadderExhausted` is raised when every degradation rung
-failed, and :class:`FrameExecutionError` wraps a parallel worker's
-failure with the frame's identity and the results completed so far.
+failed.
 """
 
 from __future__ import annotations
 
+import os
 import time
 import zlib
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -102,65 +108,39 @@ class FrameLadderExhausted(RuntimeError):
             f"last error: {last}")
 
 
-class FrameExecutionError(RuntimeError):
-    """A parallel frame worker failed.
-
-    Wraps the original exception (as ``__cause__``) with the failing
-    frame's index and seed, plus the results of every frame that *did*
-    complete (``completed``, a dict ``{frame index: result}``) so a
-    caller can salvage partial progress instead of losing the run.
-    """
-
-    def __init__(self, index, seed, completed):
-        self.index = int(index)
-        self.seed = int(seed)
-        self.completed = dict(completed)
-        super().__init__(
-            f"frame {self.index} (seed {self.seed}) failed; "
-            f"{len(self.completed)} other frame(s) completed")
+#: Upper bound of the automatic lane count: the second lane is where the
+#: measured gain is (the frame's serial ordered section bounds the rest).
+MAX_AUTO_LANES = 2
 
 
-def run_frames(fn, tasks, jobs=1, task_info=None):
-    """Apply ``fn`` to every task, optionally across ``jobs`` workers.
+def auto_lanes():
+    """Lanes a trajectory uses by default: ``min(2, usable cores)``."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cores = os.cpu_count() or 1
+    return max(1, min(MAX_AUTO_LANES, cores))
 
-    Returns results in task order regardless of completion order; with
-    ``jobs <= 1`` the frames run serially in the calling thread (required
-    when frames share mutable state such as a warm CROP cache), and
-    exceptions propagate unwrapped.
 
-    In parallel mode a worker exception cancels the not-yet-started
-    frames, drains the in-flight ones, and re-raises as a
-    :class:`FrameExecutionError` carrying the failing frame's index/seed
-    and the completed results.  ``task_info`` optionally maps a task to
-    its ``(index, seed)`` identity for that error (defaults to the task
-    list position and seed 0).
+def run_frames(fn, tasks, jobs=1):
+    """Apply ``fn`` to every task over ``jobs`` lanes (worker threads).
+
+    Tasks start in task order (the pool's queue is FIFO), so a task that
+    waits for its predecessors never waits on one that has not started.
+    Results come back in task order.  A failure cancels the tasks not yet
+    started, lets the started ones finish, and re-raises — unwrapped —
+    the exception of the earliest failed task: the one a serial loop
+    (``jobs <= 1``, run in the calling thread) would have raised.
     """
     tasks = list(tasks)
     if jobs is None or jobs <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
-    if task_info is None:
-        task_info = lambda task, position: (position, 0)  # noqa: E731
     with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
         futures = [pool.submit(fn, task) for task in tasks]
         wait(futures, return_when=FIRST_EXCEPTION)
-        failed_at = None
-        for position, future in enumerate(futures):
-            if future.done() and not future.cancelled() \
-                    and future.exception() is not None:
-                failed_at = position
-                break
-        if failed_at is None:
-            return [future.result() for future in futures]
-        # Cancel everything not yet started, then drain what is running.
+        # Cancels only the not-yet-started suffix (a no-op when all
+        # succeeded); the earliest failed task precedes it, so collecting
+        # in order raises that task's exception before reaching one.
         for future in futures:
             future.cancel()
-        wait(futures)
-        completed = {}
-        for position, future in enumerate(futures):
-            if future.cancelled() or future.exception() is not None:
-                continue
-            index, _ = task_info(tasks[position], position)
-            completed[index] = future.result()
-        index, seed = task_info(tasks[failed_at], failed_at)
-        raise FrameExecutionError(index, seed, completed) \
-            from futures[failed_at].exception()
+        return [future.result() for future in futures]

@@ -12,9 +12,16 @@ the early-termination-ratio distribution).
 Cross-frame state is carried correctly: with ``warm_crop_cache`` the
 backend's CROP cache persists across frames (the ``crop_cache`` hook of
 the pipeline model), while the HET termination stencil is cleared every
-frame — a fresh ZROP unit per draw, as in hardware.  Warm-cache runs are
-serial by construction; stateless runs fan out over the parallel
-executor and return bit-identical records in either mode.
+frame — a fresh ZROP unit per draw, as in hardware.
+
+Frames are pipelined over *lanes* (worker threads, see
+:func:`repro.engine.executor.run_frames`) with the coherence carrier
+kept: each frame's only carrier-dependent part — classification,
+materialising the arrival caches, capture — is an *ordered section*
+entered in frame-index order, while preprocess, rasterisation, the rest
+of digestion, both draws and the baseline render overlap across lanes.
+Records are bit-identical at any lane count.  Warm-CROP runs stay on one
+lane, since every draw carries the cache.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from repro import faults
 from repro.engine import cache as engine_cache
 from repro.engine.backends import backend_spec, resolve_backend
 from repro.engine.executor import (FrameIncident, FrameLadderExhausted,
-                                   frame_seed, run_frames)
+                                   auto_lanes, frame_seed, run_frames)
 from repro.gaussians.preprocess import preprocess
 from repro.knobs import check_mode
 from repro.render.coherence import FrameCoherence
@@ -101,7 +108,7 @@ class TrajectoryResult:
 
     ``stage_ms`` holds the summed wall-clock per-stage breakdown over the
     run's frames (preprocess / rasterize / digest / draw / ...) when the
-    session collected one (serial runs only — overlapping workers would
+    session collected one (one-lane runs only — overlapping lanes would
     double-count wall time); empty otherwise.
     """
 
@@ -223,6 +230,80 @@ class _FrameTask:
         self.seed = seed
 
 
+class _FrameTurns:
+    """Frame-index-ordered admission to the coherence carrier's section.
+
+    Frame ``k`` enters once every frame ``j < k`` has passed its turn.
+    Each frame passes exactly once — it ran its section, skipped it on a
+    carrier-less rung, or failed — and lanes start frames in frame order,
+    so a waiting lane only ever waits on frames already running.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._next = 0
+        self._passed = set()
+
+    def wait(self, index):
+        # Waiting on other frames is not this frame's work: it stays out
+        # of the frame's watchdog budget.
+        with faults.watchdog_paused(), self._cond:
+            self._cond.wait_for(lambda: self._next == index)
+
+    def passed(self, index):
+        with self._cond:
+            self._passed.add(index)
+            while self._next in self._passed:
+                self._passed.remove(self._next)
+                self._next += 1
+            self._cond.notify_all()
+
+
+class _FrameTurn:
+    """One frame's passage through the ordered section, across its ladder.
+
+    The first carrier-using attempt waits for the frame's turn, snapshots
+    the carrier and runs the section (:meth:`attach`).  A fault inside the
+    section rewinds the carrier and keeps the turn, so the retry runs the
+    section again before any later frame.  Once passed, retries classify
+    read-only against the library: the library only ever holds states
+    whose section succeeded, so a fault after the section rewinds
+    nothing.
+    """
+
+    def __init__(self, turns, index, carrier):
+        self._turns = turns
+        self._index = index
+        self._carrier = carrier
+        self._passed = False
+        #: The carrier as it was at section entry, while the turn is held.
+        self._snapshot = None
+
+    def attach(self, stream):
+        """Attach ``stream`` to the carrier for this attempt."""
+        if self._passed:
+            self._carrier.begin_frame(stream, read_only=True)
+            return
+        if self._snapshot is None:
+            self._turns.wait(self._index)
+            self._snapshot = self._carrier.snapshot()
+        try:
+            if self._carrier.begin_frame(stream) is not None:
+                stream._ensure_arrival_sorted()  # serve or compute, capture
+        except BaseException:
+            self._carrier.restore(self._snapshot)
+            raise
+        self.release()
+
+    def release(self):
+        """Pass the turn, once: after the section, on a carrier-less
+        rung, or when the frame is done (healed or failed)."""
+        if not self._passed:
+            self._passed = True
+            self._snapshot = None
+            self._turns.passed(self._index)
+
+
 class RenderSession:
     """Simulate frame sequences of one scene through one backend.
 
@@ -243,7 +324,7 @@ class RenderSession:
         deterministically via :func:`repro.engine.executor.frame_seed`.
     warm_crop_cache:
         Persist the backend's CROP cache across the trajectory's frames
-        (forces serial execution; hardware backends only).
+        (keeps :meth:`run` on one lane; hardware backends only).
     result_cache:
         Optional :class:`~repro.engine.cache.ResultCache`; trajectory
         runs are served from disk on a content-key hit.
@@ -258,11 +339,10 @@ class RenderSession:
         Cross-frame digestion reuse (``"auto"`` / ``"off"``, see
         :mod:`repro.render.coherence`).  The session owns one
         :class:`~repro.render.coherence.FrameCoherence` carrier shared by
-        :meth:`render_frame` calls and serial :meth:`run` trajectories,
-        so revisited viewpoints reuse digested state.  Like ``ir``, both
-        modes are bit-identical — the disk cache key stays
-        ``coherence``-agnostic.  Parallel runs (``jobs > 1``) bypass the
-        carrier.
+        :meth:`render_frame` calls and :meth:`run` trajectories at any
+        lane count, so revisited viewpoints reuse digested state.  Like
+        ``ir``, both modes are bit-identical — the disk cache key stays
+        ``coherence``-agnostic.
     strict:
         ``True`` restores raise-through semantics: a frame failure
         propagates immediately instead of entering the degradation
@@ -290,6 +370,12 @@ class RenderSession:
     ``engine=scalar`` rung rebuilds backends from their registry specs,
     so sessions handed ready backend *instances* ladder through the
     retry rung only.
+
+    The coherence carrier is rewound only for faults inside the frame's
+    ordered section (the section is retried before any later frame
+    enters it); a fault after the section leaves the carrier as it is,
+    and the retry classifies read-only against the library.  A warm CROP
+    cache is snapshotted before the frame and rewound before every retry.
     """
 
     #: The degradation ladder, least- to most-degraded.  Every rung is
@@ -396,15 +482,17 @@ class RenderSession:
         return (self._degraded["backend"], self._degraded["baseline"],
                 use_carrier, ir)
 
-    def _render_frame_attempt(self, task, backend, baseline, carrier,
+    def _render_frame_attempt(self, task, backend, baseline, turn,
                               crop_cache, raster_jobs, keep_results, ir,
                               stages):
         """One rendering attempt of one frame (any rung's configuration).
 
-        ``stages``, when not ``None``, collects this attempt's wall-clock
-        stage timings as ``(name, ms, substage dict)`` tuples — the
-        caller merges them into the run's breakdown only if the attempt
-        succeeds, so failed attempts never skew the per-stage report.
+        ``turn`` is the frame's :class:`_FrameTurn` on a carrier-using
+        rung, ``None`` otherwise.  ``stages``, when not ``None``, collects
+        this attempt's wall-clock stage timings as ``(name, ms, substage
+        dict)`` tuples — the caller merges them into the run's breakdown
+        only if the attempt succeeds, so failed attempts never skew the
+        per-stage report.
         """
         t0 = time.perf_counter()
         pre = preprocess(self.cloud, task.camera)
@@ -413,8 +501,8 @@ class RenderSession:
                                   task.camera.height, jobs=raster_jobs,
                                   ir=ir)
         t2 = time.perf_counter()
-        if carrier is not None:
-            carrier.begin_frame(stream)
+        if turn is not None:
+            turn.attach(stream)
         frame = backend.render_stream(stream, pre, crop_cache=crop_cache)
         t3 = time.perf_counter()
         record = FrameRecord(
@@ -437,58 +525,62 @@ class RenderSession:
                 stages.append(("baseline", (t4 - t3) * 1e3, base.wall_ms))
         return record
 
-    def _run_frame_ladder(self, task, carrier, crop_cache, raster_jobs,
+    def _run_frame_ladder(self, task, turn, crop_cache, raster_jobs,
                           keep_results, stage_sink):
         """Render one frame through the degradation ladder.
 
-        Cross-frame shared state (the coherence carrier, a warm CROP
-        cache) is snapshotted before the first attempt and rewound
-        before every retry, so a fault that struck mid-mutation cannot
-        leak half-updated state into the healed frame or its successors.
+        ``turn`` (``None`` without a carrier) orders the frame's coherence
+        section and rewinds the carrier after a fault inside it (see
+        :class:`_FrameTurn`); it is passed exactly once, however the frame
+        ends.  A warm CROP cache is snapshotted before the first attempt
+        and rewound before every retry, so a fault that struck
+        mid-mutation cannot leak half-updated state into the healed frame
+        or its successors.
         """
         incidents = []
         last_exc = None
-        carrier_snap = (carrier.snapshot() if carrier is not None else None)
-        crop_snap = (crop_cache.snapshot()
-                     if crop_cache is not None
-                     and hasattr(crop_cache, "snapshot") else None)
-        for rung in self._ladder_rungs():
-            backend, baseline, use_carrier, ir = self._rung_backends(rung)
-            if incidents:
-                if carrier_snap is not None:
-                    carrier.restore(carrier_snap)
-                if crop_snap is not None:
+        try:
+            crop_snap = (crop_cache.snapshot()
+                         if crop_cache is not None
+                         and hasattr(crop_cache, "snapshot") else None)
+            for rung in self._ladder_rungs():
+                backend, baseline, use_carrier, ir = \
+                    self._rung_backends(rung)
+                if turn is not None and not use_carrier:
+                    turn.release()
+                if incidents and crop_snap is not None:
                     crop_cache.restore(crop_snap)
-            stages = [] if stage_sink is not None else None
-            t0 = time.perf_counter()
-            try:
-                with faults.watchdog(self.watchdog_ms):
-                    record = self._render_frame_attempt(
-                        task, backend, baseline,
-                        carrier if use_carrier else None, crop_cache,
-                        raster_jobs, keep_results, ir, stages)
-            except Exception as exc:
-                if self.strict:
-                    raise
-                last_exc = exc
-                incidents.append(FrameIncident(
-                    task.index, rung, f"{type(exc).__name__}: {exc}",
-                    point=getattr(exc, "point", None),
-                    wall_ms=(time.perf_counter() - t0) * 1e3))
-                continue
-            if incidents:
-                for incident in incidents:
-                    incident.recovered_by = rung
-                record.incidents = [inc.to_dict() for inc in incidents]
-            if stage_sink is not None:
-                stage_sink(stages)
-            return record
-        if carrier_snap is not None:
-            carrier.restore(carrier_snap)
-        if crop_snap is not None:
-            crop_cache.restore(crop_snap)
-        raise FrameLadderExhausted(task.index, task.seed,
-                                   incidents) from last_exc
+                stages = [] if stage_sink is not None else None
+                t0 = time.perf_counter()
+                try:
+                    with faults.watchdog(self.watchdog_ms):
+                        record = self._render_frame_attempt(
+                            task, backend, baseline,
+                            turn if use_carrier else None, crop_cache,
+                            raster_jobs, keep_results, ir, stages)
+                except Exception as exc:
+                    if self.strict:
+                        raise
+                    last_exc = exc
+                    incidents.append(FrameIncident(
+                        task.index, rung, f"{type(exc).__name__}: {exc}",
+                        point=getattr(exc, "point", None),
+                        wall_ms=(time.perf_counter() - t0) * 1e3))
+                    continue
+                if incidents:
+                    for incident in incidents:
+                        incident.recovered_by = rung
+                    record.incidents = [inc.to_dict() for inc in incidents]
+                if stage_sink is not None:
+                    stage_sink(stages)
+                return record
+            if crop_snap is not None:
+                crop_cache.restore(crop_snap)
+            raise FrameLadderExhausted(task.index, task.seed,
+                                       incidents) from last_exc
+        finally:
+            if turn is not None:
+                turn.release()
 
     def render_frame(self, camera=None, crop_cache=None):
         """Render a single frame; defaults to the profile's camera.
@@ -506,9 +598,17 @@ class RenderSession:
         self._carrier().begin_frame(stream)
         return self.backend.render_stream(stream, pre, crop_cache=crop_cache)
 
-    def run(self, n_views=8, jobs=1, keep_results=False, raster_jobs=None,
-            collect_stages=False, crop_cache=None):
+    def run(self, n_views=8, jobs=None, keep_results=False,
+            raster_jobs=None, collect_stages=False, crop_cache=None):
         """Simulate ``n_views`` frames along the scene's orbit trajectory.
+
+        ``jobs`` is the number of lanes the frames are pipelined over
+        (see the module docstring); records are bit-identical for any
+        value.  ``None`` (default) picks
+        :func:`~repro.engine.executor.auto_lanes` — one lane when a CROP
+        cache is carried (``warm_crop_cache`` or ``crop_cache``) or
+        ``collect_stages`` is set, both of which need one lane; an
+        explicit ``jobs > 1`` with either raises.
 
         ``keep_results=True`` attaches each frame's full
         :class:`~repro.engine.backends.FrameResult` (image, alpha, raw
@@ -519,9 +619,8 @@ class RenderSession:
         ``raster_jobs`` threads the rasteriser's independent fragment
         blocks inside each frame (bit-identical streams, see
         :func:`repro.render.splat_raster.rasterize_splats`) — orthogonal
-        to ``jobs``, which fans whole frames out.  ``collect_stages=True``
-        accumulates a wall-clock per-stage breakdown onto the result
-        (serial runs only).
+        to ``jobs``, which pipelines whole frames.  ``collect_stages=True``
+        accumulates a wall-clock per-stage breakdown onto the result.
 
         ``crop_cache`` hands in a caller-owned warm CROP cache instead of
         building a fresh one (the serving layer persists one per resident
@@ -531,11 +630,18 @@ class RenderSession:
         """
         if n_views <= 0:
             raise ValueError(f"n_views must be positive, got {n_views}")
-        if collect_stages and jobs is not None and jobs > 1:
+        caller_crop_cache = crop_cache is not None
+        carries_crop = self.warm_crop_cache or caller_crop_cache
+        if jobs is None:
+            jobs = 1 if carries_crop or collect_stages else auto_lanes()
+        if collect_stages and jobs > 1:
             raise ValueError(
                 "collect_stages sums wall-clock per stage and requires "
                 "serial frame execution (jobs=1)")
-        caller_crop_cache = crop_cache is not None
+        if carries_crop and jobs > 1:
+            raise ValueError(
+                "warm_crop_cache carries state across frames and "
+                "requires serial execution (jobs=1)")
         key = None
         # Stage collection measures *this* run's wall clock; a cache hit
         # would return records with no breakdown, so it bypasses the cache.
@@ -551,17 +657,7 @@ class RenderSession:
             if hit is not None:
                 return TrajectoryResult.from_dict(hit, from_cache=True)
 
-        # Parallel fan-out bypasses the carrier: frames are bit-identical
-        # either way, the carrier only changes how fast digestion
-        # converges.
-        parallel = jobs is not None and jobs > 1
-        carrier = None if parallel else self._carrier()
-
-        if self.warm_crop_cache or caller_crop_cache:
-            if jobs is not None and jobs > 1:
-                raise ValueError(
-                    "warm_crop_cache carries state across frames and "
-                    "requires serial execution (jobs=1)")
+        if carries_crop:
             if not caller_crop_cache:
                 crop_cache = self.backend.new_crop_cache()
             if crop_cache is None:
@@ -574,7 +670,9 @@ class RenderSession:
             _FrameTask(k, cam, frame_seed(self.profile.name, self.seed, k))
             for k, cam in enumerate(cameras)
         ]
-        _ = self.cloud  # build once outside the workers, shared read-only
+        _ = self.cloud  # build once outside the lanes, shared read-only
+        carrier = self._carrier() if self.coherence != "off" else None
+        turns = _FrameTurns()
 
         stage_ms = {} if collect_stages else None
 
@@ -586,12 +684,13 @@ class RenderSession:
                     stage_ms[key] = stage_ms.get(key, 0.0) + sub_ms
 
         def render_one(task):
+            turn = (_FrameTurn(turns, task.index, carrier)
+                    if carrier is not None else None)
             return self._run_frame_ladder(
-                task, carrier, crop_cache, raster_jobs, keep_results,
+                task, turn, crop_cache, raster_jobs, keep_results,
                 stage_sink if stage_ms is not None else None)
 
-        records = run_frames(render_one, tasks, jobs=jobs,
-                             task_info=lambda task, _: (task.index, task.seed))
+        records = run_frames(render_one, tasks, jobs=jobs)
         result = TrajectoryResult(
             scene=self.profile.name, backend=self.backend_spec,
             baseline=self.baseline_spec, device=self.device_name,

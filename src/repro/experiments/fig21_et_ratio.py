@@ -8,7 +8,7 @@ exceeds 1.5 (>= 33% of fragments eliminable).
 
 Routing through the session means each viewpoint is rendered (one
 vectorised reference blend) rather than only ratio-counted — the price
-of sharing the engine's trajectory machinery, parallelism (``jobs``),
+of sharing the engine's trajectory machinery, frame lanes (``jobs``),
 and disk cache with every other consumer.
 """
 
@@ -19,7 +19,7 @@ from repro.experiments.runner import format_table
 from repro.workloads.catalog import scene_names
 
 
-def run(scenes=None, n_views=8, jobs=1):
+def run(scenes=None, n_views=8, jobs=None):
     """``{scene: {"ratios": [...], "mean": m, "min": lo, "max": hi}}``."""
     scenes = list(scenes) if scenes is not None else scene_names()
     out = {}

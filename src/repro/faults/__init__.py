@@ -60,7 +60,7 @@ __all__ = [
     "FaultInjected", "CorruptDataError", "InjectedOSError",
     "WatchdogTimeout",
     "install_plan", "clear_plan", "current_plan", "active",
-    "watchdog", "checkpoint", "corrupt_detected",
+    "watchdog", "watchdog_paused", "checkpoint", "corrupt_detected",
 ]
 
 #: Fast-path guard: True iff a plan is installed or a watchdog is armed.
@@ -144,6 +144,25 @@ def watchdog(budget_ms):
         with _LOCK:
             _WATCHDOGS -= 1
             _refresh()
+
+
+@contextlib.contextmanager
+def watchdog_paused():
+    """Exclude the enclosed wall time from this thread's watchdog budget.
+
+    For waits that are not the frame's own work (a lane waiting for its
+    frame's turn at the ordered coherence section): on exit the armed
+    deadline moves later by the time spent inside.
+    """
+    deadline = getattr(_TLS, "deadline", None)
+    if deadline is None:
+        yield
+        return
+    t0 = time.monotonic()
+    try:
+        yield
+    finally:
+        _TLS.deadline = (deadline[0] + time.monotonic() - t0, deadline[1])
 
 
 def _check_deadline(point):

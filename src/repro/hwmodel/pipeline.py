@@ -82,14 +82,14 @@ class DrawWorkload:
 
         Only workloads built by :meth:`from_stream` from a stream that a
         :class:`~repro.render.coherence.FrameCoherence` carrier captured
-        have one (see :meth:`~repro.render.coherence.FrameCoherence.
-        draw_memo`).
+        have one: the memo of the state the frame's lease captured (see
+        :class:`~repro.render.coherence.CoherenceLease`), which stays the
+        frame's own while later frames classify and capture.
         """
         if self._term_source is None:
             return None
-        stream = self._term_source[0]
-        carrier = stream.coherence
-        return None if carrier is None else carrier.draw_memo(stream)
+        lease = self._term_source[0].coherence_lease
+        return None if lease is None else lease.memo
 
     @property
     def n_terminated_pixels(self):

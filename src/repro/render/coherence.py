@@ -38,26 +38,44 @@ Draw replay and sealed states
 Each library state also owns a *draw memo*: the slim flush plan and the
 cache-independent flush products (:mod:`repro.hwmodel.flushplan`) a
 successful batched draw of the frame left behind, keyed by the
-:class:`~repro.hwmodel.config.GPUConfig` fingerprint.  A full hit moves
+:class:`~repro.hwmodel.config.GPUConfig` fingerprint.  A full hit copies
 the memo to the new state, so the draw replays only the cache-dependent
 apply step; a partial hit or a recompute starts an empty memo.  When the
 next frame begins, the previous state is *sealed*: it keeps only what a
 hit reads and drops the rest of its stream (see :class:`_SealedStream`).
 Replays are pinned by ``tests/test_draw_replay.py``.
 
+Leases and lanes
+----------------
+Everything one frame needs from the carrier lives on a
+:class:`CoherenceLease` that :meth:`FrameCoherence.begin_frame` attaches
+to the frame's stream: the classification outcome, the accumulated-alpha
+patch and the captured state's draw memo.  The carrier itself keeps only
+the library, the last captured state and the outcome counters, behind
+one lock.  So a frame keeps serving its draws from its own lease while
+later frames classify and capture: sessions pipeline frames over lanes
+(:meth:`~repro.engine.session.RenderSession.run`) and serialise only each
+frame's classify→capture section, in frame order.  A state sealed while
+its frame is still drawing keeps what that frame had cached by then, and
+a full hit copies its memo as it stands at capture: later frames may
+reuse less, never differently.  A *read-only* lease (a retry after a
+fault past the section) classifies against the library without
+capturing, reordering or counting.
+
 The ``coherence`` knob
 ----------------------
 ``"auto"`` (default) enables the carrier, ``"off"`` disables it
 entirely.  The carrier only ever serves streams carrying a FrameIR (the
 stream's producer made that choice, see :mod:`repro.render.frameir`);
-bare streams always take the full-recompute oracle.  Sessions running
-parallel frames bypass the carrier — frames are bit-identical either
-way.  The coherence and draw-replay suites pin every serving path
-against the ``"off"`` oracle.
+bare streams always take the full-recompute oracle.  The coherence and
+draw-replay suites pin every serving path against the ``"off"`` oracle,
+and ``tests/test_lanes.py`` pins every lane count against one lane.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from collections import OrderedDict
 from time import perf_counter
 
@@ -124,8 +142,10 @@ class _SealedStream:
         self.alphas = stream.alphas
         self.width = stream.width
         self.height = stream.height
+        # ``dict()`` copies in one step: the frame's lane may still be
+        # adding cache entries while a later frame's section seals it.
         self._cache = {
-            key: value for key, value in stream._cache.items()
+            key: value for key, value in dict(stream._cache).items()
             if key in keys or (isinstance(key, tuple) and key[0] in families)
         }
 
@@ -163,12 +183,43 @@ class _FrameState:
                 FrameCoherence._FULL_HIT_FAMILIES)
 
 
+class CoherenceLease:
+    """One frame's cursor into a :class:`FrameCoherence` carrier.
+
+    Attached to the frame's stream by :meth:`FrameCoherence.begin_frame`
+    (``stream.coherence_lease``).  ``key`` is the frame's content key,
+    ``hit`` the verified-identical library state (``None`` unless a full
+    hit), ``acc_patch`` the pending accumulated-alpha patch and ``memo``
+    the draw memo of the state the frame captured (``None`` until
+    captured).  The carrier is held weakly and the lease never holds its
+    own stream, so neither the library nor the lease forms a reference
+    cycle.
+    """
+
+    __slots__ = ("_carrier", "key", "hit", "read_only", "acc_patch", "memo")
+
+    def __init__(self, carrier, key, hit, read_only):
+        self._carrier = weakref.ref(carrier)
+        self.key = key
+        self.hit = hit
+        self.read_only = read_only
+        self.acc_patch = None
+        self.memo = None
+
+    @property
+    def carrier(self):
+        return self._carrier()
+
+
 class FrameCoherence:
     """Carrier of cross-frame digestion state (see module docstring).
 
-    One carrier serves one serial frame sequence: call :meth:`begin_frame`
-    with each new frame's stream *before* digestion starts, and the
-    stream's lazy caches will consult the carrier automatically.
+    One carrier serves one frame sequence: call :meth:`begin_frame` with
+    each new frame's stream *before* digestion starts, and the stream's
+    lazy caches will consult the carrier through the frame's
+    :class:`CoherenceLease` automatically.  Frames may digest and draw
+    concurrently, but their classify→capture sections (:meth:`begin_frame`
+    up to :meth:`capture`) must run one at a time, in frame order.
     """
 
     #: Fall back to a full recompute when clean scanlines cover less than
@@ -205,13 +256,11 @@ class FrameCoherence:
         #: when other frames rendered in between.
         self._states = OrderedDict()
         self._pows = None
+        #: The state captured last: the partial-hit reference and the
+        #: state the next :meth:`begin_frame` seals.
         self._prev = None
-        self._current = None
-        self._key = None
-        self._hit = None
-        self._full_hit = False
-        self._acc_patch = None
-        self._partial_state = None
+        #: Guards the library, ``_prev``, ``stats`` and the hash powers.
+        self._lock = threading.Lock()
         #: Outcome counters (frames served per path), for observability.
         self.stats = {"full_hits": 0, "partial_hits": 0, "full_recomputes": 0}
 
@@ -261,99 +310,118 @@ class FrameCoherence:
         :meth:`begin_frame`, which drops data without changing what a hit
         reads — and its draw memo only gains complete entries, each a pure
         function of the state's content and a config.  So only the
-        container structures and the per-frame cursors need copying.  Used
-        by the self-healing frame executor to rewind the carrier after a
-        failed attempt.
+        container structures and the counters need copying.  Used by the
+        self-healing frame executor to rewind the carrier after a fault
+        inside a frame's classify→capture section.
         """
-        return (list(self._states.items()), self._prev, self._current,
-                self._key, self._hit, self._full_hit, self._acc_patch,
-                self._partial_state, dict(self.stats))
+        with self._lock:
+            return (list(self._states.items()), self._prev, dict(self.stats))
 
     def restore(self, state):
-        """Restore a :meth:`snapshot` (library, cursors and counters)."""
-        (items, self._prev, self._current, self._key, self._hit,
-         self._full_hit, self._acc_patch, self._partial_state,
-         stats) = state
-        self._states = OrderedDict(items)
-        self.stats = dict(stats)
+        """Restore a :meth:`snapshot` (library, last state and counters)."""
+        items, prev, stats = state
+        with self._lock:
+            self._states = OrderedDict(items)
+            self._prev = prev
+            self.stats = dict(stats)
 
     # ------------------------------------------------------------------
     # Frame lifecycle
     # ------------------------------------------------------------------
 
-    def begin_frame(self, stream):
+    def begin_frame(self, stream, read_only=False):
         """Attach to a new frame's stream before digestion starts.
 
         Hashes the frame's content and classifies it against the state
         library eagerly, so a full hit can share the matched frame's
         FrameIR quad view *before* the quad table is built; the
         per-scanline classification of partial hits is deferred to the
-        first arrival-cache request.
+        first arrival-cache request.  Returns the frame's
+        :class:`CoherenceLease` (also attached as
+        ``stream.coherence_lease``), or ``None`` when the carrier is off or
+        the stream is bare.
+
+        ``read_only`` classifies for a frame whose section already ran (a
+        retry after a later fault): only a verified full hit is served, and
+        nothing is sealed, reordered, counted or captured.  It draws no
+        ``coherence.verify`` fault either, so the fault sequence the
+        ordered sections see is the same at any lane count.
         """
         if self.mode == "off":
-            return
-        if self._prev is not None:
-            # The previous frame is done: keep only what a hit reads.
-            self._prev.seal()
-        if stream.frameir is None:
-            return
-        t0 = perf_counter()
-        # Classification runs *before* the backend's render call, whose
-        # substage-delta accounting would otherwise swallow it; stash the
-        # pre-classification snapshot so the renderer attributes this
-        # frame's classification cost to its digest breakdown.
-        stream._substage_base = dict(stream.substage_ms)
-        stream.coherence = self
-        self._current = stream
-        self._full_hit = False
-        self._hit = None
-        self._acc_patch = None
-        self._partial_state = None
-        self._key = self._content_key(stream)
-        cand = self._states.get(self._key)
-        if faults.ENABLED and faults.checkpoint("coherence.verify") is not None:
-            # Injected corruption of the carried state: exact verification
-            # would reject a poisoned candidate, so model the detection as
-            # a forced miss — the frame takes the always-available full
-            # recompute path, which is bit-identical by construction.
-            cand = None
-        if cand is not None and self._verify(stream, cand.stream):
-            self._full_hit = True
-            self._hit = cand
-            self._states.move_to_end(self._key)
-            # Verified-identical content means the chunklet/quad structure
-            # is identical too: share the built quad view.
-            pir = cand.stream.frameir
-            if pir._quads is not None:
-                stream.frameir._quads = pir._quads
+            return None
+        with self._lock:
+            if not read_only and self._prev is not None:
+                # The previous frame is classified: keep only what a hit
+                # reads.
+                self._prev.seal()
+            if stream.frameir is None:
+                return None
+            t0 = perf_counter()
+            # Classification runs *before* the backend's render call,
+            # whose substage-delta accounting would otherwise swallow it;
+            # stash the pre-classification snapshot so the renderer
+            # attributes this frame's classification cost to its digest
+            # breakdown.
+            stream._substage_base = dict(stream.substage_ms)
+            key = self._content_key(stream)
+            cand = self._states.get(key)
+            if not read_only and faults.ENABLED \
+                    and faults.checkpoint("coherence.verify") is not None:
+                # Injected corruption of the carried state: exact
+                # verification would reject a poisoned candidate, so model
+                # the detection as a forced miss — the frame takes the
+                # always-available full recompute path, which is
+                # bit-identical by construction.
+                cand = None
+            if cand is not None and not self._verify(stream, cand.stream):
+                cand = None
+            if cand is not None and not read_only:
+                self._states.move_to_end(key)
+                # Verified-identical content means the chunklet/quad
+                # structure is identical too: share the built quad view.
+                pir = cand.stream.frameir
+                if pir._quads is not None:
+                    stream.frameir._quads = pir._quads
+        lease = CoherenceLease(self, key, cand, read_only)
+        stream.coherence_lease = lease
         stream._add_substage("pixel-group", t0)
+        return lease
 
     def serve_arrival(self, stream):
         """Try to install the sorted-domain arrival caches from carried
         state; returns True when served (bit-identical to a recompute)."""
-        if stream is not self._current:
+        lease = stream.coherence_lease
+        if lease is None:
             return False
         t0 = perf_counter()
-        if self._full_hit:
-            self._install_full(stream)
-            self.stats["full_hits"] += 1
+        if lease.hit is not None:
+            self._install_full(stream, lease.hit)
+            self._count(lease, "full_hits")
             self.capture(stream)
             stream._add_substage("arrival-alpha", t0)
             return True
-        if self._prev is not None and self._serve_partial(stream):
-            self.stats["partial_hits"] += 1
-            self.capture(stream)
+        if lease.read_only:
+            return False
+        state = self._serve_partial(stream, lease)
+        if state is not None:
+            self._count(lease, "partial_hits")
+            self.capture(stream, state)
             stream._add_substage("arrival-alpha", t0)
             return True
         if self._states:
-            self.stats["full_recomputes"] += 1
+            self._count(lease, "full_recomputes")
         return False
+
+    def _count(self, lease, outcome):
+        if not lease.read_only:
+            with self._lock:
+                self.stats[outcome] += 1
 
     def serve_accumulated(self, stream):
         """Patch the per-pixel accumulated-alpha map from carried state."""
-        patch = self._acc_patch
-        if patch is None or self._prev is None \
-                or stream is not self._prev.stream:
+        lease = stream.coherence_lease
+        patch = None if lease is None else lease.acc_patch
+        if patch is None:
             return False
         kind, prev_acc, payload = patch
         if kind == "full":
@@ -377,34 +445,44 @@ class FrameCoherence:
                 acc[idx] = part[idx]
             acc.flags.writeable = False
             stream._cache["accumulated_alpha"] = acc
-        self._acc_patch = None
+        lease.acc_patch = None
         return True
 
-    def capture(self, stream):
-        """Adopt the just-digested stream as the coherence reference."""
-        if self.mode == "off" or stream is not self._current:
+    def capture(self, stream, state=None):
+        """Adopt the just-digested stream as the coherence reference.
+
+        ``state`` is the frame's state when the partial serve already
+        built its scanline aux.  A read-only lease captures nothing: its
+        draws use the hit's own memo (entries are pure functions of
+        content and config, so adding them is sound anywhere).
+        """
+        lease = stream.coherence_lease
+        if lease is None:
             return
-        if self._partial_state is not None \
-                and self._partial_state.stream is stream:
-            # The partial serve already built this frame's scanline aux.
-            state = self._partial_state
-        else:
+        hit = lease.hit
+        if hit is not None:
+            prev_acc = hit.stream._cache.get("accumulated_alpha")
+            if prev_acc is not None:
+                prev_acc.flags.writeable = False
+                lease.acc_patch = ("full", prev_acc, None)
+        if lease.read_only:
+            lease.memo = hit.draw_memo if hit is not None else None
+            return
+        if state is None:
             state = _FrameState(stream)
-        if self._full_hit and self._hit is not None:
+        if hit is not None:
             # Content-identical frame: the scanline aux and the draw memo
             # carry over (the memo as a copy, so entries this frame adds
             # never reach the replaced state a rewind could restore).
-            state._rowgroups = self._hit._rowgroups
-            state.draw_memo = dict(self._hit.draw_memo)
-            prev_acc = self._hit.stream._cache.get("accumulated_alpha")
-            if prev_acc is not None:
-                prev_acc.flags.writeable = False
-                self._acc_patch = ("full", prev_acc, None)
-        self._prev = state
-        self._states[self._key] = state
-        self._states.move_to_end(self._key)
-        while len(self._states) > self.max_states:
-            self._states.popitem(last=False)
+            state._rowgroups = hit._rowgroups
+            state.draw_memo = dict(hit.draw_memo)
+        with self._lock:
+            self._prev = state
+            self._states[lease.key] = state
+            self._states.move_to_end(lease.key)
+            while len(self._states) > self.max_states:
+                self._states.popitem(last=False)
+        lease.memo = state.draw_memo
         for key in ("pixel_order", "pix_sorted", "pixel_starts",
                     "alpha_eff_sorted", "arrival_sorted"):
             arr = stream._cache.get(key)
@@ -414,42 +492,47 @@ class FrameCoherence:
     def draw_memo(self, stream):
         """The draw memo of ``stream``'s captured state, or ``None``.
 
-        Only the frame captured last can be drawn through the carrier, and
-        its state carries a memo only forward from a verified full hit —
-        a key collision, a partial hit or a recompute starts empty.
+        A frame can be drawn through the carrier once its lease captured
+        it, and its state carries a memo only forward from a verified
+        full hit — a key collision, a partial hit or a recompute starts
+        empty.
         """
-        state = self._prev
-        if state is None or state.stream is not stream:
-            return None
-        return state.draw_memo
+        lease = stream.coherence_lease
+        return None if lease is None else lease.memo
 
     # ------------------------------------------------------------------
     # Serving paths
     # ------------------------------------------------------------------
 
-    def _install_full(self, stream):
-        ps = self._hit.stream
+    def _install_full(self, stream, hit):
+        # One-step copy: a read-only hit may be a state whose frame is
+        # still adding cache entries on another lane.
+        cached = dict(hit.stream._cache)
         for key in self._FULL_HIT_KEYS:
-            value = ps._cache.get(key)
+            value = cached.get(key)
             if value is None:
                 continue
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             stream._cache[key] = value
-        for key, value in ps._cache.items():
+        for key, value in cached.items():
             if isinstance(key, tuple) and key[0] in self._FULL_HIT_FAMILIES:
                 if isinstance(value, np.ndarray):
                     value.flags.writeable = False
                 stream._cache[key] = value
 
-    def _serve_partial(self, stream):
-        """Per-scanline classification, splice and dirty-subset recompute."""
-        n = len(stream)
+    def _serve_partial(self, stream, lease):
+        """Per-scanline classification, splice and dirty-subset recompute
+        against the state captured last; returns the frame's new state,
+        or ``None`` to fall back to the full recompute."""
         prev = self._prev
+        if prev is None:
+            return None
+        n = len(stream)
         ps = prev.stream
         ir, pir = stream.frameir, ps.frameir
         if n == 0 or len(ps) == 0:
-            return False
+            return None
         height, width = stream.height, stream.width
         state = _FrameState(stream)
         new = state.rowgroups()
@@ -464,7 +547,7 @@ class FrameCoherence:
                                 & (new.row_counts > 0))
         clean_frags = int(new.frag_counts[cand_y].sum())
         if clean_frags < self.MIN_CLEAN_FRACTION * n:
-            return False
+            return None
         r_old = old.order_rows[
             _ragged_expand(old.row_offsets[cand_y], old.row_counts[cand_y])]
         r_new = new.order_rows[
@@ -488,7 +571,7 @@ class FrameCoherence:
         clean_y = ok_y[alpha_ok]
         clean_frags = int(new.frag_counts[clean_y].sum())
         if clean_frags < self.MIN_CLEAN_FRACTION * n:
-            return False
+            return None
         clean_mask = np.zeros(height, dtype=bool)
         clean_mask[clean_y] = True
         dirty_y = np.flatnonzero((new.row_counts > 0) & ~clean_mask)
@@ -581,7 +664,6 @@ class FrameCoherence:
         prev_acc = ps._cache.get("accumulated_alpha")
         if prev_acc is not None:
             prev_acc.flags.writeable = False
-            self._acc_patch = ("partial", prev_acc,
+            lease.acc_patch = ("partial", prev_acc,
                                (clean_y, dirty_y, dirty_slots))
-        self._partial_state = state
-        return True
+        return state

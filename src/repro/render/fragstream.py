@@ -141,7 +141,9 @@ class FragmentStream:
                     "fragment coordinates fall outside the framebuffer")
         self.binning = binning
         self.frameir = frameir
-        self._coherence = None
+        #: This frame's :class:`~repro.render.coherence.CoherenceLease`,
+        #: attached by a carrier's ``begin_frame`` (``None`` otherwise).
+        self.coherence_lease = None
         #: Wall-clock of the named digestion substages (ms), accumulated
         #: as the lazy caches materialise; the hardware renderer folds
         #: these into its per-frame stage breakdown.
@@ -150,21 +152,18 @@ class FragmentStream:
 
     @property
     def coherence(self):
-        """Optional :class:`~repro.render.coherence.FrameCoherence` carrier
-        (attached by trajectory sessions); consulted before the arrival
-        caches are recomputed from scratch.
+        """The :class:`~repro.render.coherence.FrameCoherence` carrier this
+        frame is attached to (trajectory sessions attach one), or ``None``;
+        consulted before the arrival caches are recomputed from scratch.
 
-        Held weakly: the carrier's library holds streams, so a strong
-        back-reference would make every session a reference cycle that
-        only the cyclic collector frees.  A stream outliving its carrier
-        simply digests without one.
+        Reached through the frame's lease, which holds the carrier weakly:
+        the carrier's library holds streams, so a strong back-reference
+        would make every session a reference cycle that only the cyclic
+        collector frees.  A stream outliving its carrier simply digests
+        without one.
         """
-        ref = self._coherence
-        return None if ref is None else ref()
-
-    @coherence.setter
-    def coherence(self, carrier):
-        self._coherence = None if carrier is None else weakref.ref(carrier)
+        lease = self.coherence_lease
+        return None if lease is None else lease.carrier
 
     def _add_substage(self, name, t0):
         self.substage_ms[name] = (self.substage_ms.get(name, 0.0)
@@ -472,9 +471,10 @@ class FragmentStream:
                 # the pixel's termination rank) and scatter the boolean
                 # once — same mask as gathering rank/term_rank per
                 # fragment, minus two full-width int64 passes.
-                local, term_rank, order, pix_sorted = \
+                term_rank, order, pix_sorted = \
                     self._pixel_ranks_sorted(threshold)
-                unterm_sorted = local < term_rank[pix_sorted] + int(lag)
+                unterm_sorted = (self._local_ranks_sorted()
+                                 < term_rank[pix_sorted] + int(lag))
                 out = np.empty(len(self), dtype=bool)
                 out[order] = unterm_sorted
                 self._cache[key] = out
@@ -494,14 +494,27 @@ class FragmentStream:
                                 & self.unterminated_on_arrival(threshold, lag))
         return self._cache[key]
 
-    def _pixel_ranks_sorted(self, threshold):
-        """Pixel-sorted rank structure: ``(local, term_rank, order, pix)``.
+    def _local_ranks_sorted(self):
+        """Each fragment's rank within its pixel, in the pixel-sorted
+        domain.  Built on demand and never cached: it is a full-width
+        int64 array derivable in two passes, and caching it would pin it
+        in every live and sealed coherence state."""
+        self._ensure_arrival_sorted()
+        starts = self._cache["pixel_starts"]
+        lengths = np.diff(np.concatenate(
+            (starts, np.asarray([len(self)], dtype=np.int64))))
+        return (np.arange(len(self), dtype=np.int64)
+                - np.repeat(starts, lengths))
 
-        ``local`` is each fragment's rank within its pixel in the
-        pixel-sorted domain, ``term_rank`` the per-pixel rank of the first
-        fragment arriving with accumulated alpha already at/above the
-        threshold (i.e. the first one perfect HET would kill); pixels that
-        never terminate get a rank beyond any fragment count.
+    def _pixel_ranks_sorted(self, threshold):
+        """Pixel-sorted rank structure: ``(term_rank, order, pix)``.
+
+        ``term_rank`` is the per-pixel rank of the first fragment arriving
+        with accumulated alpha already at/above the threshold (i.e. the
+        first one perfect HET would kill); pixels that never terminate get
+        a rank beyond any fragment count.  ``order``/``pix`` are the
+        cached pixel order and pixel-sorted ids; the per-fragment local
+        ranks come from :meth:`_local_ranks_sorted`.
         """
         key = ("pixel_ranks_sorted", round(float(threshold), 9))
         if key not in self._cache:
@@ -509,9 +522,6 @@ class FragmentStream:
             order = self._pixel_order
             pix_sorted = self._cache["pix_sorted"]
             starts = self._pixel_starts(pix_sorted)
-            lengths = np.diff(np.concatenate(
-                (starts, np.asarray([len(self)], dtype=np.int64))))
-            local = np.arange(len(self), dtype=np.int64) - np.repeat(starts, lengths)
             sentinel = np.int64(len(self) + 1)
             term_rank = np.full(self.n_pixels, sentinel, dtype=np.int64)
             # Per-pixel first terminated rank, as a segment minimum over
@@ -520,10 +530,11 @@ class FragmentStream:
             # scatter and produces the identical minima.
             if len(self):
                 term_sorted = self._cache["arrival_sorted"] >= threshold
-                masked = np.where(term_sorted, local, sentinel)
+                masked = np.where(term_sorted, self._local_ranks_sorted(),
+                                  sentinel)
                 seg_min = np.minimum.reduceat(masked, starts)
                 term_rank[pix_sorted[starts]] = seg_min
-            self._cache[key] = (local, term_rank, order, pix_sorted)
+            self._cache[key] = (term_rank, order, pix_sorted)
         return self._cache[key]
 
     def _pixel_ranks(self, threshold):
@@ -531,9 +542,9 @@ class FragmentStream:
         (fragment-order view of :meth:`_pixel_ranks_sorted`)."""
         key = ("pixel_ranks", round(float(threshold), 9))
         if key not in self._cache:
-            local, term_rank, order, _pix = self._pixel_ranks_sorted(threshold)
+            term_rank, order, _pix = self._pixel_ranks_sorted(threshold)
             rank = np.empty(len(self), dtype=np.int64)
-            rank[order] = local
+            rank[order] = self._local_ranks_sorted()
             self._cache[key] = (rank, term_rank)
         return self._cache[key]
 

@@ -327,7 +327,9 @@ class RenderService:
             crop_cache = (resident.warm_crop_cache()
                           if request.warm_crop_cache else None)
             try:
-                result = session.run(n_views=request.views,
+                # One lane per request: the service's concurrency is
+                # across requests, over its worker pool.
+                result = session.run(n_views=request.views, jobs=1,
                                      crop_cache=crop_cache)
             except FrameLadderExhausted as exc:
                 return Failed(

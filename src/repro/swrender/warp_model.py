@@ -140,8 +140,7 @@ def _simulate_tile_warps_ir(stream, threshold):
     round_of_group[t_order] = (np.arange(n_groups, dtype=np.int64)
                                - tile_starts[g_tile[t_order]])
 
-    _local, term_rank, order, pix_sorted = \
-        stream._pixel_ranks_sorted(threshold)
+    term_rank, order, pix_sorted = stream._pixel_ranks_sorted(threshold)
     starts = stream._pixel_starts(pix_sorted)
     sentinel = np.int64(len(stream) + 1)
     done_pixels = np.flatnonzero(term_rank != sentinel)

@@ -34,6 +34,7 @@ from repro.hwmodel.stats import UNIT_NAMES
 from repro.hwmodel.trace import DrawTrace
 from repro.render.coherence import FrameCoherence
 from repro.render.splat_raster import rasterize_splats
+from repro.swrender.warp_model import simulate_tile_warps
 
 
 @pytest.fixture
@@ -252,6 +253,44 @@ class TestMemory:
             assert np.array_equal(
                 getattr(second.quad_table(0.996, lag), name),
                 getattr(first.quad_table(0.996, lag), name)), name
+
+    def test_sealed_states_hold_no_fragment_rank_array(self, deep_pre,
+                                                       deep_camera):
+        """The per-fragment local ranks are rebuilt on demand, never
+        cached: a sealed state's rank entries hold only the per-pixel
+        termination ranks plus arrays it keeps anyway, and a full hit
+        still adopts the HET masks bit-identically — the CUDA warp
+        model's ranks included."""
+        config = variant_config("het")
+        thr, lag = config.termination_alpha, config.het_inflight_lag
+        assert lag > 0  # the lag path is the one that reads local ranks
+        carrier = FrameCoherence("auto")
+        first = _begin(carrier, _stream(deep_pre, deep_camera))
+        _draw(first, config)
+        warps = simulate_tile_warps(first, thr)
+        (state,) = carrier._states.values()
+        second = _begin(carrier, _stream(deep_pre, deep_camera))
+        assert carrier.stats["full_hits"] == 1
+        sealed = state.stream
+        n = len(sealed)
+        kept = [v for k, v in sealed._cache.items() if not isinstance(k, tuple)]
+        ranks = [v for k, v in sealed._cache.items()
+                 if isinstance(k, tuple) and k[0] == "pixel_ranks_sorted"]
+        assert ranks, "the rank structure should be adopted by hits"
+        for entry in ranks:
+            for arr in entry:
+                if arr.shape == (n,):
+                    assert any(arr is other for other in kept)
+        assert ("unterminated", round(thr, 9), lag) in second._cache
+        oracle = _stream(deep_pre, deep_camera)
+        for name in ("unterminated_on_arrival", "het_blended_mask"):
+            assert np.array_equal(getattr(second, name)(thr, lag),
+                                  getattr(oracle, name)(thr, lag)), name
+        assert np.array_equal(second._pixel_ranks(thr)[0],
+                              oracle._pixel_ranks(thr)[0])
+        hit_warps = simulate_tile_warps(second, thr)
+        want = simulate_tile_warps(oracle, thr)
+        assert vars(hit_warps) == vars(want) == vars(warps)
 
     @pytest.fixture
     def stream_refs(self, monkeypatch):

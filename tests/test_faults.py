@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 
 import numpy as np
@@ -19,7 +20,6 @@ import pytest
 import repro.hwmodel.pipeline as pipeline_module
 from repro import faults
 from repro.engine import (
-    FrameExecutionError,
     FrameLadderExhausted,
     ResultCache,
     run_frames,
@@ -273,6 +273,53 @@ class TestLadder:
 
 
 # ----------------------------------------------------------------------
+# Chaos under lanes: every injection point, one lane and two
+# ----------------------------------------------------------------------
+
+#: One plan per injection point whose incident count does not depend on
+#: lane timing: always-firing rules fail the same attempts of every frame
+#: at any lane count, and a single-shot rule fires exactly once.
+LANE_PLANS = {
+    "rasterize": "rasterize:raise,times=1",
+    "digest": "digest:raise",
+    "coherence.verify": "coherence.verify:raise",
+    "flushplan": "flushplan:raise",
+    "lru.replay": "lru.replay:corrupt",
+    "cache.load": "cache.load:corrupt",
+    "cache.store": "cache.store:oserror",
+}
+
+
+class TestChaosUnderLanes:
+    def test_every_point_is_covered(self):
+        assert set(LANE_PLANS) == set(faults.POINTS)
+
+    @pytest.mark.parametrize("point", sorted(LANE_PLANS))
+    def test_lanes_heal_like_one_lane(self, point, tmp_path,
+                                      clean_aggregates):
+        """With the carrier on, a chaos run over two lanes matches the
+        fault-free aggregates and heals exactly as many attempts, through
+        the same rungs, as the one-lane run."""
+        summaries = []
+        for jobs in (1, 2):
+            kwargs = {}
+            if point.startswith("cache."):
+                cache = ResultCache(tmp_path / f"jobs{jobs}")
+                if point == "cache.load":
+                    RenderSession(SCENE, result_cache=cache).run(
+                        n_views=N_VIEWS)
+                kwargs["result_cache"] = cache
+            result = chaos_run(LANE_PLANS[point], jobs=jobs,
+                               coherence="auto", **kwargs)
+            assert not result.from_cache
+            assert result.aggregates() == clean_aggregates, f"jobs={jobs}"
+            summary = result.incident_summary()
+            summaries.append((summary["count"], summary.get("recovered_by"),
+                              summary.get("by_point")))
+        assert summaries[0] == summaries[1]
+
+
+# ----------------------------------------------------------------------
 # ResultCache hardening
 # ----------------------------------------------------------------------
 
@@ -474,26 +521,56 @@ class TestDrawReplayFaults:
         assert plan_builds == []
 
 
+    def test_lanes_leave_the_memos_of_a_clean_run(self, plan_builds):
+        """Two lanes, carrier on, no CROP cache: a replay fault on the
+        first lap heals, the library holds exactly the memos of a clean
+        two-lane run, and a faulted revisit lap still replays every draw
+        — its retry classifies read-only against its own state."""
+        with faults.active(None):
+            clean = RenderSession(SCENE, coherence="auto")
+            first = clean.run(n_views=N_VIEWS, jobs=2)
+        session = RenderSession(SCENE, coherence="auto")
+        with faults.active(FaultPlan.parse("lru.replay:raise,times=1")):
+            healed = session.run(n_views=N_VIEWS, jobs=2)
+        assert [(inc["point"], inc["recovered_by"])
+                for inc in healed.incidents()] == [("lru.replay", "retry")]
+        assert healed.aggregates() == first.aggregates()
+        want, got = _memo_entries(clean), _memo_entries(session)
+        assert want.keys() == got.keys()
+        for key in want:
+            _assert_memo_entries_equal(want[key], got[key])
+        del plan_builds[:]
+        with faults.active(FaultPlan.parse("flushplan:raise,times=1")):
+            again = session.run(n_views=N_VIEWS, jobs=2)
+        assert again.aggregates() == first.aggregates()
+        assert [(inc["point"], inc["recovered_by"])
+                for inc in again.incidents()] == [("flushplan", "retry")]
+        assert plan_builds == [], "every draw of the lap replays its memo"
+
+
 # ----------------------------------------------------------------------
 # Executor failure wrapping and state snapshots
 # ----------------------------------------------------------------------
 
 class TestExecutor:
-    def test_parallel_failure_wrapped_with_frame_identity(self):
+    def test_parallel_failure_raises_earliest_unwrapped(self):
+        """Lanes fail like a serial loop: the earliest failed task's own
+        exception, unwrapped, even when a later task failed first."""
+        task_two_failed = threading.Event()
+
         def fn(task):
             if task == 2:
-                raise ValueError("boom")
+                task_two_failed.set()
+                raise KeyError("later")
+            if task == 1:
+                assert task_two_failed.wait(10)
+                raise ValueError("earliest")
             return task * 10
 
-        with pytest.raises(FrameExecutionError) as excinfo:
-            run_frames(fn, [0, 1, 2, 3], jobs=2,
-                       task_info=lambda task, _: (task, 100 + task))
-        err = excinfo.value
-        assert err.index == 2
-        assert err.seed == 102
-        assert isinstance(err.__cause__, ValueError)
-        assert set(err.completed) <= {0, 1, 3}
-        assert all(err.completed[k] == k * 10 for k in err.completed)
+        with pytest.raises(ValueError, match="earliest"):
+            run_frames(fn, [0, 1, 2, 3], jobs=3)
+        assert run_frames(lambda task: task * 10, [0, 1, 2, 3],
+                          jobs=2) == [0, 10, 20, 30]
 
     def test_serial_failure_propagates_unwrapped(self):
         def fn(task):
