@@ -6,7 +6,6 @@ Usage::
     python -m repro simulate --scene truck [--variant het+qm] [--all]
     python -m repro trajectory --scene train --backend hw:het+qm --views 24
     python -m repro serve --clients 8 --requests 3 [--faults PLAN] [--json]
-    python -m repro bench [--suite rasterize] [--quick] [--baseline BENCH_prev.json]
     python -m repro experiment fig16
     python -m repro list-scenes
     python -m repro lint [--format json] [--rules R1,R4]
@@ -32,13 +31,6 @@ from repro.experiments.runner import format_table
 from repro.gaussians.preprocess import preprocess
 from repro.hwmodel.report import compare_variants, draw_report
 from repro.knobs import COHERENCE_MODES, IR_MODES
-from repro.perf.report import (
-    check_report,
-    load_report,
-    suite_report,
-    write_report,
-)
-from repro.perf.suite import SUITES, run_suite
 from repro.render.image_io import write_ppm
 from repro.render.splat_raster import rasterize_splats
 from repro.workloads.catalog import (
@@ -127,8 +119,7 @@ def cmd_trajectory(args):
     context = (faults.active(plan) if plan is not None
                else contextlib.nullcontext())
     with context:
-        trajectory = session.run(n_views=args.views, jobs=args.jobs,
-                                 raster_jobs=args.raster_jobs)
+        trajectory = session.run(n_views=args.views, jobs=args.jobs)
 
     if args.json:
         payload = {
@@ -251,74 +242,6 @@ def cmd_serve(args):
     return 0
 
 
-def cmd_bench(args):
-    suites = sorted(SUITES) if args.suite == "all" else [args.suite]
-    if args.out and len(suites) > 1:
-        raise SystemExit(
-            "--out names a single report file; with --suite all each suite "
-            "writes its own BENCH_<suite>.json, so drop --out or pick one "
-            "suite")
-    baseline = load_report(args.baseline) if args.baseline else None
-    failures = 0
-    for name in suites:
-        run = run_suite(name, quick=args.quick, scene=args.scene,
-                        repeat=args.repeat)
-        report = suite_report(run, baseline=baseline)
-        rows = []
-        for row in report["benchmarks"]:
-            mfrag = row.get("fragments_per_sec")
-            speedup = row.get("speedup_vs_scalar")
-            rows.append([
-                row["name"], row["scene"], f"{row['median_ms']:.2f}",
-                f"{mfrag / 1e6:.2f}" if mfrag else "-",
-                f"{speedup:.2f}x" if speedup else "-",
-            ])
-        mode = " (quick)" if args.quick else ""
-        print(format_table(
-            ["Benchmark", "Scene", "Median ms", "Mfrag/s", "Speedup"],
-            rows, title=f"Suite: {name}{mode}"))
-        comparison = report.get("speedup_vs_baseline") or {}
-        noise = report.get("noise_vs_baseline") or {}
-        for bench, speedup in sorted(comparison.items()):
-            verdict = noise.get(bench)
-            # A delta below the combined repeat spread of the two runs is
-            # scheduling jitter, not a real change — say so inline so a
-            # 0.95x row doesn't read as a regression.
-            tag = ""
-            if verdict is not None and verdict["within_noise"]:
-                tag = (f"  (within noise: ±{verdict['noise_floor']:.1%} "
-                       "repeat spread)")
-            print(f"  vs baseline {bench}: {speedup:.2f}x{tag}")
-        out = args.out or f"BENCH_{name}.json"
-        if args.check:
-            # Advisory regression tripwire: compare against the checked-in
-            # report instead of overwriting it.
-            try:
-                reference = load_report(out)
-            except OSError as exc:
-                raise SystemExit(
-                    f"--check needs an existing reference report: {exc}")
-            if bool(reference.get("quick")) != args.quick:
-                raise SystemExit(
-                    f"{out} was recorded with quick={reference.get('quick')}"
-                    f"; rerun --check with matching sizing (quick medians "
-                    "and full medians are different workloads)")
-            regressions = check_report(report, reference,
-                                       tolerance=args.check_tolerance)
-            if regressions:
-                failures += len(regressions)
-                for bench, ratio in regressions:
-                    print(f"  REGRESSION {bench}: {ratio:.2f}x slower than "
-                          f"{out}")
-            else:
-                print(f"  within {args.check_tolerance:.0%} of {out}")
-        else:
-            write_report(report, out)
-            print(f"wrote {out}")
-        print()
-    return 1 if failures else 0
-
-
 def cmd_experiment(args):
     module_name = _EXPERIMENT_MODULES[args.name]
     module = importlib.import_module(f"repro.experiments.{module_name}")
@@ -399,10 +322,6 @@ def build_parser():
                             help="lanes the frames are pipelined over "
                                  "(bit-identical records; default: "
                                  "min(2, cores), 1 with --warm-crop-cache)")
-    trajectory.add_argument("--raster-jobs", type=int, default=None,
-                            help="threads for the rasteriser's fragment "
-                                 "blocks inside each frame (bit-identical "
-                                 "streams; orthogonal to --jobs)")
     trajectory.add_argument("--seed", type=int, default=0)
     trajectory.add_argument("--device", default="orin",
                             choices=("orin", "rtx3090"))
@@ -494,30 +413,6 @@ def build_parser():
     serve.add_argument("--json", action="store_true",
                        help="emit the KPI report as JSON")
 
-    bench = sub.add_parser(
-        "bench", help="run a performance suite and write BENCH_<suite>.json")
-    bench.add_argument("--suite", default="rasterize",
-                       choices=sorted(SUITES) + ["all"],
-                       help="benchmark suite to run (default rasterize)")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI-sized run: small scene, minimal repeats")
-    bench.add_argument("--scene", default=None, choices=sorted(_ALL_SCENES),
-                       help="override the suite's default scene")
-    bench.add_argument("--repeat", type=int, default=None,
-                       help="override the suite's repeat count")
-    bench.add_argument("--baseline", default=None,
-                       help="earlier BENCH_*.json to compute speedups against")
-    bench.add_argument("--out", default=None,
-                       help="output JSON path (default BENCH_<suite>.json)")
-    bench.add_argument("--check", action="store_true",
-                       help="compare fresh medians against the checked-in "
-                            "BENCH_<suite>.json instead of overwriting it; "
-                            "exit non-zero on large regressions (advisory "
-                            "tripwire, not a hard gate)")
-    bench.add_argument("--check-tolerance", type=float, default=0.5,
-                       help="allowed slowdown before --check fails "
-                            "(default 0.5 = 50%%)")
-
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure")
     experiment.add_argument("name", choices=_EXPERIMENTS)
@@ -556,7 +451,6 @@ def main(argv=None):
         "simulate": cmd_simulate,
         "trajectory": cmd_trajectory,
         "serve": cmd_serve,
-        "bench": cmd_bench,
         "experiment": cmd_experiment,
         "lint": cmd_lint,
     }

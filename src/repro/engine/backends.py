@@ -64,14 +64,11 @@ class FrameResult:
     """One rendered frame in the engine's common schema.
 
     ``cycles``/``ms``/``fps`` are ``None`` for the reference backend,
-    which is functional-only.  ``n_fragments`` counts the rasterised
-    fragments of the frame (the benchmark harness derives fragments/sec
-    from it).  ``kernels`` is the per-kernel millisecond
+    which is functional-only.  ``kernels`` is the per-kernel millisecond
     breakdown (preprocess / sort / rasterize) when the path models it.
-    ``wall_ms`` is the backend's *measured* wall-clock stage breakdown
-    (empty when the path doesn't record one).  ``pipeline_stats`` carries
-    the hardware model's :class:`~repro.hwmodel.stats.PipelineStats` when
-    available, and ``raw`` the backend's native result object.
+    ``pipeline_stats`` carries the hardware model's
+    :class:`~repro.hwmodel.stats.PipelineStats` when available, and
+    ``raw`` the backend's native result object.
 
     ``image``/``alpha`` may be deferred: a backend can hand an
     ``image_source`` (any object with lazy ``image``/``alpha`` attributes,
@@ -82,8 +79,7 @@ class FrameResult:
 
     def __init__(self, backend, image=None, alpha=None, cycles=None,
                  ms=None, fps=None, kernels=None, et_ratio=None,
-                 n_fragments=None, pipeline_stats=None, raw=None,
-                 wall_ms=None, image_source=None):
+                 pipeline_stats=None, raw=None, image_source=None):
         self.backend = backend
         self._image = image
         self._alpha = alpha
@@ -92,9 +88,7 @@ class FrameResult:
         self.ms = ms
         self.fps = fps
         self.kernels = dict(kernels) if kernels else {}
-        self.wall_ms = dict(wall_ms) if wall_ms else {}
         self.et_ratio = et_ratio
-        self.n_fragments = n_fragments
         self.pipeline_stats = pipeline_stats
         self.raw = raw
 
@@ -170,10 +164,8 @@ class HardwareBackend:
             ms=res.total_ms(),
             fps=res.fps(),
             kernels=res.breakdown_ms(),
-            wall_ms=res.wall_ms,
             et_ratio=res.stream.termination_ratio(
                 self.config.termination_alpha),
-            n_fragments=len(res.stream),
             pipeline_stats=res.draw.stats,
             raw=res,
         )
@@ -213,9 +205,7 @@ class CudaBackend:
             ms=res.timing.total_ms(),
             fps=res.timing.fps(),
             kernels=res.timing.breakdown_ms(),
-            wall_ms=res.wall_ms,
             et_ratio=res.stream.termination_ratio(self.renderer.threshold),
-            n_fragments=len(res.stream),
             pipeline_stats=None,
             raw=res,
         )
@@ -241,7 +231,6 @@ class ReferenceBackend:
             image=image,
             alpha=alpha,
             et_ratio=stream.termination_ratio(DEFAULT_TERMINATION_ALPHA),
-            n_fragments=len(stream),
             raw=stream,
         )
 

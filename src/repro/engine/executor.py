@@ -8,9 +8,8 @@ scene cloud with zero copies.  State carried across frames is the
 caller's to order: :class:`~repro.engine.session.RenderSession` funnels
 each frame's coherence classify→capture section through a frame-ordered
 turn, so any lane count produces bit-identical records.  A warm CROP
-cache is carried by every draw and keeps its sessions on one lane.  The
-rasteriser fans its independent fragment blocks out over the same
-function.  Each frame also carries a deterministic seed (see
+cache is carried by every draw and keeps its sessions on one lane.
+Each frame also carries a deterministic seed (see
 :func:`frame_seed`) so backends that do draw randomness stay
 reproducible across lanes and reruns.
 

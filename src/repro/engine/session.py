@@ -104,16 +104,10 @@ class FrameRecord:
 
 
 class TrajectoryResult:
-    """Per-frame records plus aggregates for one trajectory run.
-
-    ``stage_ms`` holds the summed wall-clock per-stage breakdown over the
-    run's frames (preprocess / rasterize / digest / draw / ...) when the
-    session collected one (one-lane runs only — overlapping lanes would
-    double-count wall time); empty otherwise.
-    """
+    """Per-frame records plus aggregates for one trajectory run."""
 
     def __init__(self, scene, backend, baseline, device, seed, records,
-                 from_cache=False, stage_ms=None):
+                 from_cache=False):
         self.scene = scene
         self.backend = backend
         self.baseline = baseline
@@ -121,7 +115,6 @@ class TrajectoryResult:
         self.seed = int(seed)
         self.records = list(records)
         self.from_cache = bool(from_cache)
-        self.stage_ms = dict(stage_ms or {})
 
     @property
     def n_frames(self):
@@ -185,11 +178,9 @@ class TrajectoryResult:
         summary["by_point"] = by_point
         # healing_ms is the wall clock burned by *failed* attempts — the
         # latency tax paid to heal — the serving layer attributes slow
-        # responses to it.  wall_ms is the historical alias.
-        healing_ms = float(sum(inc.get("wall_ms", 0.0)
-                               for inc in incidents))
-        summary["healing_ms"] = healing_ms
-        summary["wall_ms"] = healing_ms
+        # responses to it.
+        summary["healing_ms"] = float(sum(inc.get("wall_ms", 0.0)
+                                          for inc in incidents))
         return summary
 
     def to_dict(self):
@@ -483,50 +474,31 @@ class RenderSession:
                 use_carrier, ir)
 
     def _render_frame_attempt(self, task, backend, baseline, turn,
-                              crop_cache, raster_jobs, keep_results, ir,
-                              stages):
+                              crop_cache, keep_results, ir):
         """One rendering attempt of one frame (any rung's configuration).
 
         ``turn`` is the frame's :class:`_FrameTurn` on a carrier-using
-        rung, ``None`` otherwise.  ``stages``, when not ``None``, collects
-        this attempt's wall-clock stage timings as ``(name, ms, substage
-        dict)`` tuples — the caller merges them into the run's breakdown
-        only if the attempt succeeds, so failed attempts never skew the
-        per-stage report.
+        rung, ``None`` otherwise.
         """
-        t0 = time.perf_counter()
         pre = preprocess(self.cloud, task.camera)
-        t1 = time.perf_counter()
         stream = rasterize_splats(pre.splats, task.camera.width,
-                                  task.camera.height, jobs=raster_jobs,
-                                  ir=ir)
-        t2 = time.perf_counter()
+                                  task.camera.height, ir=ir)
         if turn is not None:
             turn.attach(stream)
         frame = backend.render_stream(stream, pre, crop_cache=crop_cache)
-        t3 = time.perf_counter()
         record = FrameRecord(
             index=task.index, backend=self.backend_spec, seed=task.seed,
             cycles=frame.cycles, ms=frame.ms, fps=frame.fps,
             et_ratio=frame.et_ratio, kernels=frame.kernels,
             result=frame if keep_results else None)
-        base = None
         if baseline is not None:
             base = baseline.render_stream(stream, pre)
             record.baseline_cycles = base.cycles
             if base.cycles and frame.cycles:
                 record.speedup = base.cycles / frame.cycles
-        if stages is not None:
-            t4 = time.perf_counter()
-            stages.append(("preprocess", (t1 - t0) * 1e3, None))
-            stages.append(("rasterize", (t2 - t1) * 1e3, None))
-            stages.append(("render", (t3 - t2) * 1e3, frame.wall_ms))
-            if base is not None:
-                stages.append(("baseline", (t4 - t3) * 1e3, base.wall_ms))
         return record
 
-    def _run_frame_ladder(self, task, turn, crop_cache, raster_jobs,
-                          keep_results, stage_sink):
+    def _run_frame_ladder(self, task, turn, crop_cache, keep_results):
         """Render one frame through the degradation ladder.
 
         ``turn`` (``None`` without a carrier) orders the frame's coherence
@@ -550,14 +522,13 @@ class RenderSession:
                     turn.release()
                 if incidents and crop_snap is not None:
                     crop_cache.restore(crop_snap)
-                stages = [] if stage_sink is not None else None
                 t0 = time.perf_counter()
                 try:
                     with faults.watchdog(self.watchdog_ms):
                         record = self._render_frame_attempt(
                             task, backend, baseline,
                             turn if use_carrier else None, crop_cache,
-                            raster_jobs, keep_results, ir, stages)
+                            keep_results, ir)
                 except Exception as exc:
                     if self.strict:
                         raise
@@ -571,8 +542,6 @@ class RenderSession:
                     for incident in incidents:
                         incident.recovered_by = rung
                     record.incidents = [inc.to_dict() for inc in incidents]
-                if stage_sink is not None:
-                    stage_sink(stages)
                 return record
             if crop_snap is not None:
                 crop_cache.restore(crop_snap)
@@ -598,29 +567,21 @@ class RenderSession:
         self._carrier().begin_frame(stream)
         return self.backend.render_stream(stream, pre, crop_cache=crop_cache)
 
-    def run(self, n_views=8, jobs=None, keep_results=False,
-            raster_jobs=None, collect_stages=False, crop_cache=None):
+    def run(self, n_views=8, jobs=None, keep_results=False, crop_cache=None):
         """Simulate ``n_views`` frames along the scene's orbit trajectory.
 
         ``jobs`` is the number of lanes the frames are pipelined over
         (see the module docstring); records are bit-identical for any
         value.  ``None`` (default) picks
         :func:`~repro.engine.executor.auto_lanes` — one lane when a CROP
-        cache is carried (``warm_crop_cache`` or ``crop_cache``) or
-        ``collect_stages`` is set, both of which need one lane; an
-        explicit ``jobs > 1`` with either raises.
+        cache is carried (``warm_crop_cache`` or ``crop_cache``), which
+        needs one lane; an explicit ``jobs > 1`` with one raises.
 
         ``keep_results=True`` attaches each frame's full
         :class:`~repro.engine.backends.FrameResult` (image, alpha, raw
         renderer output) to its record; the default keeps only the
         numeric summaries, so memory stays flat however long the
         trajectory is.
-
-        ``raster_jobs`` threads the rasteriser's independent fragment
-        blocks inside each frame (bit-identical streams, see
-        :func:`repro.render.splat_raster.rasterize_splats`) — orthogonal
-        to ``jobs``, which pipelines whole frames.  ``collect_stages=True``
-        accumulates a wall-clock per-stage breakdown onto the result.
 
         ``crop_cache`` hands in a caller-owned warm CROP cache instead of
         building a fresh one (the serving layer persists one per resident
@@ -633,22 +594,16 @@ class RenderSession:
         caller_crop_cache = crop_cache is not None
         carries_crop = self.warm_crop_cache or caller_crop_cache
         if jobs is None:
-            jobs = 1 if carries_crop or collect_stages else auto_lanes()
-        if collect_stages and jobs > 1:
-            raise ValueError(
-                "collect_stages sums wall-clock per stage and requires "
-                "serial frame execution (jobs=1)")
+            jobs = 1 if carries_crop else auto_lanes()
         if carries_crop and jobs > 1:
             raise ValueError(
                 "warm_crop_cache carries state across frames and "
                 "requires serial execution (jobs=1)")
         key = None
-        # Stage collection measures *this* run's wall clock; a cache hit
-        # would return records with no breakdown, so it bypasses the cache.
         # A caller-owned CROP cache carries request history, so its runs
-        # are not content-addressable either.
+        # are not content-addressable.
         if (self.result_cache is not None and self._cacheable
-                and not collect_stages and not caller_crop_cache):
+                and not caller_crop_cache):
             key = engine_cache.trajectory_key(
                 self.profile, self.seed, self.backend_spec,
                 self.baseline_spec, self.device_name, n_views,
@@ -674,27 +629,17 @@ class RenderSession:
         carrier = self._carrier() if self.coherence != "off" else None
         turns = _FrameTurns()
 
-        stage_ms = {} if collect_stages else None
-
-        def stage_sink(stages):
-            for name, ms, substages in stages:
-                stage_ms[name] = stage_ms.get(name, 0.0) + ms
-                for sub, sub_ms in (substages or {}).items():
-                    key = f"{name}:{sub}"
-                    stage_ms[key] = stage_ms.get(key, 0.0) + sub_ms
-
         def render_one(task):
             turn = (_FrameTurn(turns, task.index, carrier)
                     if carrier is not None else None)
-            return self._run_frame_ladder(
-                task, turn, crop_cache, raster_jobs, keep_results,
-                stage_sink if stage_ms is not None else None)
+            return self._run_frame_ladder(task, turn, crop_cache,
+                                          keep_results)
 
         records = run_frames(render_one, tasks, jobs=jobs)
         result = TrajectoryResult(
             scene=self.profile.name, backend=self.backend_spec,
             baseline=self.baseline_spec, device=self.device_name,
-            seed=self.seed, records=records, stage_ms=stage_ms)
+            seed=self.seed, records=records)
         if key is not None:
             self.result_cache.store(key, result.to_dict())
         return result

@@ -77,7 +77,6 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from time import perf_counter
 
 import numpy as np
 
@@ -356,13 +355,6 @@ class FrameCoherence:
                 self._prev.seal()
             if stream.frameir is None:
                 return None
-            t0 = perf_counter()
-            # Classification runs *before* the backend's render call,
-            # whose substage-delta accounting would otherwise swallow it;
-            # stash the pre-classification snapshot so the renderer
-            # attributes this frame's classification cost to its digest
-            # breakdown.
-            stream._substage_base = dict(stream.substage_ms)
             key = self._content_key(stream)
             cand = self._states.get(key)
             if not read_only and faults.ENABLED \
@@ -384,7 +376,6 @@ class FrameCoherence:
                     stream.frameir._quads = pir._quads
         lease = CoherenceLease(self, key, cand, read_only)
         stream.coherence_lease = lease
-        stream._add_substage("pixel-group", t0)
         return lease
 
     def serve_arrival(self, stream):
@@ -393,12 +384,10 @@ class FrameCoherence:
         lease = stream.coherence_lease
         if lease is None:
             return False
-        t0 = perf_counter()
         if lease.hit is not None:
             self._install_full(stream, lease.hit)
             self._count(lease, "full_hits")
             self.capture(stream)
-            stream._add_substage("arrival-alpha", t0)
             return True
         if lease.read_only:
             return False
@@ -406,7 +395,6 @@ class FrameCoherence:
         if state is not None:
             self._count(lease, "partial_hits")
             self.capture(stream, state)
-            stream._add_substage("arrival-alpha", t0)
             return True
         if self._states:
             self._count(lease, "full_recomputes")

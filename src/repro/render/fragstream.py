@@ -18,7 +18,6 @@ All heavy quantities are computed lazily and cached.
 from __future__ import annotations
 
 import weakref
-from time import perf_counter
 
 import numpy as np
 
@@ -144,10 +143,6 @@ class FragmentStream:
         #: This frame's :class:`~repro.render.coherence.CoherenceLease`,
         #: attached by a carrier's ``begin_frame`` (``None`` otherwise).
         self.coherence_lease = None
-        #: Wall-clock of the named digestion substages (ms), accumulated
-        #: as the lazy caches materialise; the hardware renderer folds
-        #: these into its per-frame stage breakdown.
-        self.substage_ms = {}
         self._cache = {}
 
     @property
@@ -164,10 +159,6 @@ class FragmentStream:
         """
         lease = self.coherence_lease
         return None if lease is None else lease.carrier
-
-    def _add_substage(self, name, t0):
-        self.substage_ms[name] = (self.substage_ms.get(name, 0.0)
-                                  + (perf_counter() - t0) * 1e3)
 
     # ------------------------------------------------------------------
     # Basic derived arrays
@@ -244,7 +235,6 @@ class FragmentStream:
         """
         if "pix_sorted" in self._cache:
             return
-        t0 = perf_counter()
         n = len(self)
         if self.frameir is not None and n:
             # The rasteriser's emission order has non-decreasing prim ids,
@@ -265,7 +255,6 @@ class FragmentStream:
             pix_sorted = self.pixel_ids[order]
             self._cache["pix_sorted"] = pix_sorted
             self._cache["pixel_starts"] = segment_boundaries(pix_sorted)
-        self._add_substage("pixel-group", t0)
 
     def _ir_pixel_counts(self):
         """Per-pixel fragment counts from the IR's row intervals.
@@ -364,7 +353,6 @@ class FragmentStream:
     def _compute_arrival_sorted(self):
         """The full-recompute arrival chain (the coherence oracle)."""
         self._ensure_pixel_grouping()
-        t0 = perf_counter()
         order = self._cache["pixel_order"]
         pix_sorted = self._cache["pix_sorted"]
         starts = self._cache["pixel_starts"]
@@ -396,7 +384,6 @@ class FragmentStream:
             np.subtract(1.0, arrival_sorted, out=arrival_sorted)
         self._cache["alpha_eff_sorted"] = alpha_eff
         self._cache["arrival_sorted"] = arrival_sorted
-        self._add_substage("arrival-alpha", t0)
 
     @property
     def arrival_alpha(self):
@@ -583,13 +570,11 @@ class FragmentStream:
             carrier = self.coherence
             if carrier is not None and carrier.serve_accumulated(self):
                 return self._cache["accumulated_alpha"]
-            t0 = perf_counter()
             weights = ((1.0 - self._cache["arrival_sorted"])
                        * self._cache["alpha_eff_sorted"].astype(np.float64))
             self._cache["accumulated_alpha"] = np.bincount(
                 self._cache["pix_sorted"], weights=weights,
                 minlength=self.n_pixels)
-            self._add_substage("arrival-alpha", t0)
         return self._cache["accumulated_alpha"]
 
     def blend_image(self, early_term=False, threshold=DEFAULT_TERMINATION_ALPHA):
@@ -679,13 +664,11 @@ class FragmentStream:
         """
         key = ("quad_table", round(float(threshold), 9), int(lag))
         if key not in self._cache:
-            t0 = perf_counter()
             if self.frameir is not None:
                 self._cache[key] = QuadTable.from_ir(self, self.frameir,
                                                      threshold, lag)
             else:
                 self._cache[key] = QuadTable.from_stream(self, threshold, lag)
-            self._add_substage("chunklets", t0)
         return self._cache[key]
 
 
@@ -746,7 +729,6 @@ class _QuadColumnBuilder:
         # overflow-proof); mask columns reduce in uint8 — a bitwise OR of
         # 4-bit coverage masks can never overflow.  Results widen to the
         # table's int64 convention afterwards.
-        t0 = perf_counter()
         if name == "n_fragments":
             ones = np.ones(len(self.stream), dtype=np.int32)
             per_quad = np.add.reduceat(ones, self.starts)
@@ -756,9 +738,7 @@ class _QuadColumnBuilder:
         else:
             per_quad = np.bitwise_or.reduceat(
                 self._bits() * self._fragment_flags(name), self.starts)
-        out = per_quad[self.emit].astype(np.int64)
-        self.stream._add_substage("quad-columns", t0)
-        return out
+        return per_quad[self.emit].astype(np.int64)
 
 
 class _IRQuadColumnBuilder(_QuadColumnBuilder):
@@ -787,19 +767,15 @@ class _IRQuadColumnBuilder(_QuadColumnBuilder):
         return self._bit
 
     def column(self, name):
-        t0 = perf_counter()
         if name in QuadTable._META_COLUMNS:
-            out = self.ir_quads.meta()[name]
-        elif name == "n_fragments":
-            out = self.ir_quads.frag_counts()
-        elif name.startswith("n_"):
-            out = self.ir_quads.reduce_add(
+            return self.ir_quads.meta()[name]
+        if name == "n_fragments":
+            return self.ir_quads.frag_counts()
+        if name.startswith("n_"):
+            return self.ir_quads.reduce_add(
                 self._fragment_flags(name).astype(np.int32))
-        else:
-            out = self.ir_quads.reduce_or(
-                self._bits() * self._fragment_flags(name))
-        self.stream._add_substage("quad-columns", t0)
-        return out
+        return self.ir_quads.reduce_or(
+            self._bits() * self._fragment_flags(name))
 
 
 class QuadTable:

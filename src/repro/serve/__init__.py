@@ -13,8 +13,8 @@ cache) without unbounded memory growth.
 Invariant: **no request is ever lost or silently wrong** — every
 admitted request terminates in a bit-exact (possibly incident-annotated)
 :class:`Completed` result or a typed :class:`Failed` / :class:`Rejected`
-response.  ``repro bench --suite service`` and ``tests/test_serve.py``
-enforce this under seeded chaos plans.
+response.  ``tests/test_serve.py`` enforces this under a seeded chaos
+plan.
 """
 
 from repro.serve.breaker import ServiceBreaker

@@ -6,7 +6,7 @@ request in flight per client, the realistic regime for a single-box
 service).  Per-client request streams derive from
 ``random.Random(f"{seed}:{client}")``, so a fixed :class:`LoadSpec`
 replays the exact same request mix regardless of scheduling — the chaos
-tests and the bench suite both rely on that.
+tests rely on that.
 
 The result is a :class:`LoadReport`: every response (none may be
 missing — a lost request is the one unacceptable outcome), the KPI

@@ -21,7 +21,7 @@ request is ever lost or silently wrong:
     a typed failure, never a silent loss.
 
 Responses are plain data (``to_dict()`` is JSON-safe) so the load
-generator, the bench suite and the CLI can all consume them uniformly.
+generator and the CLI can consume them uniformly.
 """
 
 from __future__ import annotations

@@ -159,15 +159,15 @@ def _city_scene(profile, rng):
 
 
 def _bench_scene(profile, rng):
-    """Dense field of *small* splats for the `repro bench` suites.
+    """Dense field of *small* splats: the production small-splat regime.
 
     The Table II realisations are scaled ~1/5.5 linearly but keep their
     Gaussian counts in the thousands, so each splat covers ~1000 px — two
     orders of magnitude above production 3DGS captures (millions of
-    Gaussians covering tens of pixels each).  Benchmarks of per-splat
-    versus batched rasterisation costs need the realistic regime, so this
-    layout packs many small-scale Gaussians: a dominant foreground cloud
-    plus a thin background shell.
+    Gaussians covering tens of pixels each).  The golden raster tests pin
+    the batched rasteriser against the per-splat loop in that regime too,
+    so this layout packs many small-scale Gaussians: a dominant foreground
+    cloud plus a thin background shell.
     """
     p = profile.layout_params
     n = profile.n_gaussians
@@ -351,8 +351,9 @@ LARGE_SCALE_SCENES = {
     ),
 }
 
-#: Benchmark workloads for the ``repro bench`` suites (not part of the
-#: paper's figure sweeps, so deliberately kept out of :func:`scene_names`).
+#: The small-splat ``bench`` scene, used by the golden raster tests (not
+#: part of the paper's figure sweeps, so deliberately kept out of
+#: :func:`scene_names`).
 BENCH_SCENES = {
     "bench": SceneProfile(
         name="bench", dataset="procedural", scene_type="bench",

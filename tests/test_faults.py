@@ -269,7 +269,7 @@ class TestLadder:
         assert summary["frames_affected"] == 1
         assert summary["recovered_by"] == {"retry": 1}
         assert summary["by_point"] == {"digest": 1}
-        assert summary["wall_ms"] > 0.0
+        assert summary["healing_ms"] > 0.0
 
 
 # ----------------------------------------------------------------------

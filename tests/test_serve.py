@@ -19,7 +19,6 @@ from repro import faults
 from repro.engine.cache import ResultCache
 from repro.engine.session import RenderSession
 from repro.faults import FaultPlan
-from repro.perf.suite import SERVICE_CHAOS_PLAN
 from repro.serve import (
     FAILURE_REASONS,
     REJECT_REASONS,
@@ -32,6 +31,15 @@ from repro.serve import (
 )
 
 SCENE = "lego"
+
+#: Seeded chaos plan of the soak: every one of the seven injection points
+#: armed, mixing stall / raise / corrupt / oserror kinds, probabilistic so
+#: healing happens without drowning the run.
+SERVICE_CHAOS_PLAN = (
+    "seed=11; rasterize:raise,p=0.15; digest:stall,delay=150,p=0.15; "
+    "coherence.verify:corrupt,p=0.15; flushplan:raise,p=0.15; "
+    "lru.replay:corrupt,p=0.15; cache.load:corrupt,p=0.3; "
+    "cache.store:oserror,p=0.3")
 
 
 def make_service(**kw):
@@ -380,7 +388,6 @@ class TestIncidentTelemetry:
             result = session.run(n_views=1)
         summary = result.incident_summary()
         assert summary["healing_ms"] > 0
-        assert summary["healing_ms"] == summary["wall_ms"]  # alias
 
     def test_caller_crop_cache_bypasses_disk_cache(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workloads.catalog import (
+    BENCH_SCENES,
     LARGE_SCALE_SCENES,
     SCENARIO_SCENES,
     SCENES,
@@ -122,6 +123,21 @@ class TestCatalog:
         profile = get_profile("train")
         assert cam.width == profile.width
         assert cam.height == profile.height
+
+
+class TestBenchSceneProfile:
+    def test_bench_scene_registered(self):
+        assert "bench" in BENCH_SCENES
+        profile = get_profile("bench")
+        assert profile.scene_type == "bench"
+        # Deliberately excluded from the paper's figure sweeps.
+        assert "bench" not in scene_names(include_large=True)
+
+    def test_bench_scene_builds_deterministically(self):
+        a = build_scene("bench", seed=0)
+        b = build_scene("bench", seed=0)
+        assert len(a) == len(b) == 30000
+        np.testing.assert_array_equal(a.positions, b.positions)
 
 
 class TestViewpoints:
